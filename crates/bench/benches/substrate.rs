@@ -1,6 +1,6 @@
 //! Substrate microbenchmarks (not a paper figure): the cost drivers under
 //! every experiment — CART training, k-means, index construction and the
-//! three rectangle-query access paths (grid / k-d tree / full scan), plus
+//! two rectangle-query access paths (grid / full scan), plus
 //! SQL-query evaluation over the column store.
 
 use std::sync::Arc;
@@ -59,17 +59,12 @@ fn main() {
     }
     drop(group);
 
-    // --- Rectangle queries: grid vs kd-tree vs scan -------------------------
+    // --- Rectangle queries: grid vs scan ------------------------------------
     let table = sdss_table(200_000, 1);
     let view = Arc::new(dense_view(&table));
     let rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
     let mut group = h.group("substrate/region_query");
-    for kind in [
-        IndexKind::Grid,
-        IndexKind::KdTree,
-        IndexKind::Sorted,
-        IndexKind::Scan,
-    ] {
+    for kind in [IndexKind::Grid, IndexKind::Scan] {
         let mut engine = ExtractionEngine::from_arc(Arc::clone(&view), kind);
         engine.set_cache_enabled(false); // measure the access path, not the cache
         let name = format!("{kind:?}").to_lowercase();
@@ -109,7 +104,7 @@ fn main() {
         }
         out.len()
     });
-    // Sparse candidate list, the sorted/kd/grid residual-filter shape.
+    // Sparse candidate list, the grid residual-filter shape.
     let candidates: Vec<u32> = (0..view.len() as u32).step_by(3).collect();
     let filt_view = Arc::clone(&view);
     let filt_rect = rect.clone();
@@ -233,54 +228,9 @@ fn main() {
             black_box(36),
             black_box(4_096),
             black_box(1_024),
-            black_box(&[1_024, 1_024, 1_024, 1_024]),
             black_box(1_500),
         );
     });
-    drop(group);
-
-    // --- Sharded extraction engine ------------------------------------------
-    // `build/mono` prices the monolithic index build; `build/s{n}` prices
-    // the per-shard index builds alone (the engine in the setup closure
-    // already paid the monolithic build). The cold/warm pairs run the
-    // 48-rect misclassified-phase workload against 1/2/4 shards — results
-    // are bit-identical across all of them (tests/determinism.rs), so the
-    // group measures the pure wall-clock effect of sharding.
-    let mut group = h.group("substrate/shard");
-    let build_view = Arc::clone(&view);
-    group.bench("build_200k/mono", move || {
-        GridIndex::build_with(black_box(&build_view), &Pool::from_env(0))
-    });
-    for shards in [2usize, 4] {
-        let setup_view = Arc::clone(&view);
-        group.bench_batched(
-            &format!("build_200k/s{shards}"),
-            move || ExtractionEngine::from_arc(Arc::clone(&setup_view), IndexKind::Grid),
-            move |mut engine| engine.set_shards(shards),
-        );
-    }
-    for shards in [1usize, 2, 4] {
-        let cold_view = Arc::clone(&view);
-        let cold_rects = fn_rects.clone();
-        group.bench_batched(
-            &format!("cold_batch_48rects/s{shards}"),
-            move || {
-                let mut engine =
-                    ExtractionEngine::from_arc(Arc::clone(&cold_view), IndexKind::Grid);
-                engine.set_shards(shards);
-                engine
-            },
-            move |mut engine| engine.query_batch(black_box(&cold_rects)),
-        );
-
-        let mut warm_engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-        warm_engine.set_shards(shards);
-        warm_engine.query_batch(&fn_rects); // prime: every later batch hits
-        let warm_rects = fn_rects.clone();
-        group.bench(&format!("warm_batch_48rects/s{shards}"), move || {
-            warm_engine.query_batch(black_box(&warm_rects))
-        });
-    }
     drop(group);
 
     // --- SQL evaluation over the column store --------------------------------

@@ -146,7 +146,6 @@ pub fn run_random(
         total_labeled: labeled.len(),
         iterations: history.len(),
         total_time,
-        shards: engine.shard_count(),
         history,
     }
 }
@@ -283,7 +282,6 @@ pub fn run_uncertainty(
         total_labeled: labeled.len(),
         iterations: history.len(),
         total_time,
-        shards: engine.shard_count(),
         history,
     }
 }

@@ -167,8 +167,7 @@ pub fn exploit_boundaries(
     // over-query. Selection follows the same discipline as the
     // misclassified phase: settle each face's take from the RNG-free
     // candidate counts, then select every face in parallel on pre-split
-    // RNG streams; `rng_compat` replays the legacy serial selection on
-    // the shared RNG instead.
+    // RNG streams.
     let mut next = 0;
     while remaining > 0 && next < candidates.len() {
         let mut opt = remaining;
@@ -182,27 +181,17 @@ pub fn exploit_boundaries(
             .map(|(slab, _)| slab.clone())
             .collect();
         let outputs = engine.query_batch_outputs(&rects);
-        if config.rng_compat {
-            for ((slab, alloc), out) in candidates[next..end].iter().zip(&outputs) {
-                let want = (*alloc).min(remaining);
-                let got = engine.select_excluding(out, want, rng, excluded);
-                remaining -= got.len();
-                outcome.samples.extend(got);
-                outcome.slabs.push(slab.clone());
-            }
-        } else {
-            let mut wants = Vec::with_capacity(outputs.len());
-            for ((slab, alloc), out) in candidates[next..end].iter().zip(&outputs) {
-                let take = (*alloc)
-                    .min(remaining)
-                    .min(engine.count_candidates(out, excluded));
-                wants.push(take);
-                remaining -= take;
-                outcome.slabs.push(slab.clone());
-            }
-            for got in engine.select_batch_streams(&outputs, &wants, rng, excluded) {
-                outcome.samples.extend(got);
-            }
+        let mut wants = Vec::with_capacity(outputs.len());
+        for ((slab, alloc), out) in candidates[next..end].iter().zip(&outputs) {
+            let take = (*alloc)
+                .min(remaining)
+                .min(engine.count_candidates(out, excluded));
+            wants.push(take);
+            remaining -= take;
+            outcome.slabs.push(slab.clone());
+        }
+        for got in engine.select_batch_streams(&outputs, &wants, rng, excluded) {
+            outcome.samples.extend(got);
         }
         next = end;
     }

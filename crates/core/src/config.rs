@@ -154,13 +154,6 @@ pub struct SessionConfig {
     /// everything inline on the calling thread. Results are bit-identical
     /// for any setting.
     pub threads: usize,
-    /// Horizontal shards of the extraction engine: the sampled view is
-    /// split into this many contiguous row ranges, each with its own
-    /// index and region cache, built and queried in parallel. 0 = one
-    /// shard per worker thread; the `AIDE_SHARDS` environment variable
-    /// overrides this value; 1 keeps the monolithic index. Samples,
-    /// labels and the RNG stream are bit-identical for any setting.
-    pub shards: usize,
     /// Consult the extraction engine's region-result cache (on by
     /// default). The sampled view is immutable, so cached rectangle
     /// results never go stale; a hit still counts as an extraction query
@@ -168,17 +161,6 @@ pub struct SessionConfig {
     /// pre-cache cost accounting (every query re-examines tuples) — the
     /// returned samples and labels are identical either way.
     pub region_cache: bool,
-    /// Replay the legacy (pre-incremental-maintenance) RNG discipline:
-    /// phases select samples serially in input order on the shared session
-    /// RNG instead of on pre-split per-request streams, the misclassified
-    /// phase re-seeds k-means cold (k-means++) every iteration instead of
-    /// warm-starting from the previous centroids, and no `model_fit` trace
-    /// events are emitted. Labels, queries and trace fingerprints then
-    /// reproduce sessions recorded before the switchover bit-for-bit (the
-    /// archived fingerprints in `tests/` pin this). The fitted models are
-    /// identical either way — only the RNG stream and the trace schema
-    /// differ.
-    pub rng_compat: bool,
     /// Structured tracing handle ([`aide_util::trace`]). Disabled by
     /// default: every emission is one branch and the session behaves
     /// exactly as untraced. An enabled tracer records span, wave, eval
@@ -229,9 +211,7 @@ impl Default for SessionConfig {
             phases: PhaseToggles::default(),
             eval_every: 1,
             threads: 0,
-            shards: 0,
             region_cache: true,
-            rng_compat: false,
             tracer: Tracer::disabled(),
         }
     }

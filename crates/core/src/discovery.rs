@@ -142,7 +142,6 @@ pub struct GridDiscovery {
     pending: HashMap<u64, Cell>,
     next_token: u64,
     total_points: usize,
-    rng_compat: bool,
 }
 
 impl GridDiscovery {
@@ -176,7 +175,6 @@ impl GridDiscovery {
             pending: HashMap::new(),
             next_token: 0,
             total_points: engine.view().len(),
-            rng_compat: config.rng_compat,
         };
         disc.enqueue_level(start_level);
         disc
@@ -288,9 +286,7 @@ impl GridDiscovery {
         // (RNG-free) queries go out in batch passes. Selection runs in
         // parallel on pre-split per-cell RNG streams (each cell's
         // effective area — γ-neighbourhood, or the whole cell when the
-        // neighbourhood is empty — is decided RNG-free up front); under
-        // `rng_compat` it replays the legacy serial selection on the
-        // shared RNG instead.
+        // neighbourhood is empty — is decided RNG-free up front).
         while out.len() < budget && !self.queue.is_empty() {
             let want = budget - out.len();
             let mut wave: Vec<(Cell, Rect)> = Vec::with_capacity(want);
@@ -319,37 +315,20 @@ impl GridDiscovery {
             let fallback_out = engine.query_batch_outputs(&fallback_rects);
             let fallback_for: HashMap<usize, usize> =
                 fallback.iter().enumerate().map(|(k, &i)| (i, k)).collect();
-            let selected: Vec<Vec<Sample>> = if self.rng_compat {
-                (0..wave.len())
-                    .map(|i| {
-                        let mut samples =
-                            engine.select_excluding(&gamma_out[i], 1, rng, excluded);
-                        if samples.is_empty() {
-                            // Nothing near the center: whole-cell fallback.
-                            if let Some(&k) = fallback_for.get(&i) {
-                                samples =
-                                    engine.select_excluding(&fallback_out[k], 1, rng, excluded);
-                            }
-                        }
-                        samples
-                    })
-                    .collect()
-            } else {
-                // Each cell's effective sampling area is already settled:
-                // the fallback list holds exactly the cells whose γ-area
-                // is empty of unexcluded candidates.
-                let effective: Vec<_> = (0..wave.len())
-                    .map(|i| match fallback_for.get(&i) {
-                        Some(&k) => fallback_out[k].clone(),
-                        None => gamma_out[i].clone(),
-                    })
-                    .collect();
-                let wants: Vec<usize> = effective
-                    .iter()
-                    .map(|o| usize::from(engine.has_candidates(o, excluded)))
-                    .collect();
-                engine.select_batch_streams(&effective, &wants, rng, excluded)
-            };
+            // Each cell's effective sampling area is already settled:
+            // the fallback list holds exactly the cells whose γ-area
+            // is empty of unexcluded candidates.
+            let effective: Vec<_> = (0..wave.len())
+                .map(|i| match fallback_for.get(&i) {
+                    Some(&k) => fallback_out[k].clone(),
+                    None => gamma_out[i].clone(),
+                })
+                .collect();
+            let wants: Vec<usize> = effective
+                .iter()
+                .map(|o| usize::from(engine.has_candidates(o, excluded)))
+                .collect();
+            let selected = engine.select_batch_streams(&effective, &wants, rng, excluded);
             for ((cell, _), samples) in wave.into_iter().zip(selected) {
                 let Some(sample) = samples.into_iter().next() else {
                     // Empty cell: no data to discover, and nothing to zoom
@@ -536,7 +515,6 @@ pub struct ClusterDiscovery {
     queue: VecDeque<(usize, usize)>,
     pending: HashMap<u64, (usize, usize)>,
     next_token: u64,
-    rng_compat: bool,
     /// Converged centroids per level, so a level (re)build warm-starts
     /// from the previous fit instead of a fresh k-means++ pass.
     state: DiscoveryState,
@@ -561,7 +539,6 @@ impl ClusterDiscovery {
             queue: VecDeque::new(),
             pending: HashMap::new(),
             next_token: 0,
-            rng_compat: config.rng_compat,
             state: DiscoveryState::default(),
         };
         // The cluster hierarchy is cheap relative to exploration (k-means
@@ -640,8 +617,7 @@ impl ClusterDiscovery {
         // one sample, so the next `budget - out.len()` queue entries are
         // the ones the serial loop would have processed. Queries (γ-rects
         // and bounding-box fallbacks, both RNG-free) go out in batch
-        // passes; selection runs on pre-split per-cluster RNG streams
-        // (serially on the shared RNG under `rng_compat`).
+        // passes; selection runs on pre-split per-cluster RNG streams.
         while out.len() < budget && !self.queue.is_empty() {
             let want = budget - out.len();
             let mut wave: Vec<(usize, usize)> = Vec::with_capacity(want);
@@ -676,34 +652,17 @@ impl ClusterDiscovery {
             let fallback_out = engine.query_batch_outputs(&fallback_rects);
             let fallback_for: HashMap<usize, usize> =
                 fallback.iter().enumerate().map(|(k, &i)| (i, k)).collect();
-            let selected: Vec<Vec<Sample>> = if self.rng_compat {
-                (0..wave.len())
-                    .map(|i| {
-                        let mut samples =
-                            engine.select_excluding(&gamma_out[i], 1, rng, excluded);
-                        if samples.is_empty() {
-                            // Widen to the cluster's bounding box.
-                            if let Some(&k) = fallback_for.get(&i) {
-                                samples =
-                                    engine.select_excluding(&fallback_out[k], 1, rng, excluded);
-                            }
-                        }
-                        samples
-                    })
-                    .collect()
-            } else {
-                let effective: Vec<_> = (0..wave.len())
-                    .map(|i| match fallback_for.get(&i) {
-                        Some(&k) => fallback_out[k].clone(),
-                        None => gamma_out[i].clone(),
-                    })
-                    .collect();
-                let wants: Vec<usize> = effective
-                    .iter()
-                    .map(|o| usize::from(engine.has_candidates(o, excluded)))
-                    .collect();
-                engine.select_batch_streams(&effective, &wants, rng, excluded)
-            };
+            let effective: Vec<_> = (0..wave.len())
+                .map(|i| match fallback_for.get(&i) {
+                    Some(&k) => fallback_out[k].clone(),
+                    None => gamma_out[i].clone(),
+                })
+                .collect();
+            let wants: Vec<usize> = effective
+                .iter()
+                .map(|o| usize::from(engine.has_candidates(o, excluded)))
+                .collect();
+            let selected = engine.select_batch_streams(&effective, &wants, rng, excluded);
             for ((level, cluster), samples) in wave.into_iter().zip(selected) {
                 let Some(sample) = samples.into_iter().next() else {
                     continue;

@@ -71,8 +71,8 @@ fn sampling_distance(config: &SessionConfig, regions: &[Rect]) -> f64 {
 /// `regions` are the current model's relevant areas (used by the
 /// adaptive-y optimization); `budget` caps the samples extracted this
 /// round. `state` carries the previous round's cluster centroids: when
-/// the cluster count is unchanged (and `rng_compat` is off) the k-means
-/// fit warm-starts from them, skipping the k-means++ pass entirely.
+/// the cluster count is unchanged the k-means fit warm-starts from them,
+/// skipping the k-means++ pass entirely.
 #[allow(clippy::too_many_arguments)]
 pub fn exploit_misclassified(
     config: &SessionConfig,
@@ -115,11 +115,7 @@ pub fn exploit_misclassified(
             fn_points.extend_from_slice(labeled.point(i));
         }
         let k_eff = k_discovery.min(false_negatives.len());
-        let warm = if config.rng_compat {
-            None
-        } else {
-            state.warm_centroids(dims, k_eff)
-        };
+        let warm = state.warm_centroids(dims, k_eff);
         let was_warm = warm.is_some();
         let fit_start = std::time::Instant::now();
         let km = KMeans::fit_warm(dims, &fn_points, k_discovery, warm, rng);
@@ -127,7 +123,7 @@ pub fn exploit_misclassified(
         outcome.fit_us = fit_us;
         let centroids: Vec<f64> = (0..km.k()).flat_map(|c| km.centroid(c).to_vec()).collect();
         state.record(dims, centroids, was_warm);
-        if engine.tracer().is_enabled() && !config.rng_compat {
+        if engine.tracer().is_enabled() {
             use aide_util::trace::Value;
             engine.tracer().emit_scoped(
                 "model_fit",
@@ -191,11 +187,9 @@ pub fn exploit_misclassified(
     // exactly the queries the serial loop issued, in the same order, with
     // zero over-query.
     //
-    // Selection: the default discipline settles each area's take from the
-    // RNG-free candidate counts (identical budget propagation to a serial
-    // loop) and then selects every area in parallel on pre-split RNG
-    // streams. `rng_compat` replays the legacy serial selection on the
-    // shared RNG instead.
+    // Selection settles each area's take from the RNG-free candidate
+    // counts (identical budget propagation to a serial loop) and then
+    // selects every area in parallel on pre-split RNG streams.
     let mut remaining = budget;
     let mut next = 0;
     while remaining > 0 && next < areas.len() {
@@ -207,27 +201,17 @@ pub fn exploit_misclassified(
         }
         let rects: Vec<Rect> = areas[next..end].iter().map(|(r, _, _)| r.clone()).collect();
         let outputs = engine.query_batch_outputs(&rects);
-        if config.rng_compat {
-            for ((_, cap, covered), out) in areas[next..end].iter().zip(&outputs) {
-                let want = (*cap).min(remaining);
-                let got = engine.select_excluding(out, want, rng, excluded);
-                remaining -= got.len();
-                outcome.samples.extend(got);
-                outcome.attempted.extend(covered.iter().copied());
-            }
-        } else {
-            let mut wants = Vec::with_capacity(outputs.len());
-            for ((_, cap, covered), out) in areas[next..end].iter().zip(&outputs) {
-                let take = (*cap)
-                    .min(remaining)
-                    .min(engine.count_candidates(out, excluded));
-                wants.push(take);
-                remaining -= take;
-                outcome.attempted.extend(covered.iter().copied());
-            }
-            for got in engine.select_batch_streams(&outputs, &wants, rng, excluded) {
-                outcome.samples.extend(got);
-            }
+        let mut wants = Vec::with_capacity(outputs.len());
+        for ((_, cap, covered), out) in areas[next..end].iter().zip(&outputs) {
+            let take = (*cap)
+                .min(remaining)
+                .min(engine.count_candidates(out, excluded));
+            wants.push(take);
+            remaining -= take;
+            outcome.attempted.extend(covered.iter().copied());
+        }
+        for got in engine.select_batch_streams(&outputs, &wants, rng, excluded) {
+            outcome.samples.extend(got);
         }
         next = end;
     }

@@ -11,9 +11,7 @@
 //! the cache also makes a future level re-fit warm). The CART counterpart
 //! lives in [`aide_ml::IncrementalTree`], owned by the session directly.
 //!
-//! Warm starts are deterministic but consume *no* RNG draws, which is why
-//! adopting them moved the determinism fingerprints; `rng_compat` restores
-//! the cold path (see [`crate::config::SessionConfig::rng_compat`]).
+//! Warm starts are deterministic and consume *no* RNG draws.
 
 /// Misclassified-exploitation warm-start state: the false-negative
 /// k-means model of the previous iteration (paper §4.2 clusters false

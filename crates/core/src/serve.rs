@@ -236,14 +236,11 @@ impl SessionHost {
                 Err(msg) => return err("bad_request", &msg),
             },
         };
-        {
-            let sessions = self.lock_sessions();
-            if sessions.len() >= self.config.max_sessions {
-                return err(
-                    "session_limit",
-                    &format!("{} sessions already live", sessions.len()),
-                );
-            }
+        // Fast refusal before any session work. Advisory only: concurrent
+        // creates can all pass it, so the insert below re-checks.
+        let live = self.lock_sessions().len();
+        if let Some(refused) = self.refuse_over_limit(live) {
+            return refused;
         }
         let tracer = if self.config.trace_dir.is_some() {
             Tracer::new()
@@ -273,16 +270,27 @@ impl SessionHost {
             Xoshiro256pp::seed_from_u64(seed),
         );
         let proposals = session.propose_iteration();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        // Check the cap and insert in one critical section, so racing
+        // creates cannot overshoot `max_sessions`. The session was built
+        // outside the lock: holding it across fork and propose would
+        // serialize every open.
+        let id = {
+            let mut sessions = self.lock_sessions();
+            if let Some(refused) = self.refuse_over_limit(sessions.len()) {
+                return refused;
+            }
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+            sessions.insert(
+                id,
+                Arc::new(Mutex::new(SessionSlot {
+                    session,
+                    tracer,
+                    last_touch: Instant::now(),
+                })),
+            );
+            id
+        };
         self.created.fetch_add(1, Ordering::Relaxed);
-        self.lock_sessions().insert(
-            id,
-            Arc::new(Mutex::new(SessionSlot {
-                session,
-                tracer,
-                last_touch: Instant::now(),
-            })),
-        );
         obj(vec![
             ("ok", Json::Bool(true)),
             ("session", Json::Num(id as f64)),
@@ -450,6 +458,12 @@ impl SessionHost {
             areas.push(Rect::new(lo, hi));
         }
         Ok(TargetQuery::new(areas))
+    }
+
+    /// The `session_limit` error frame when `live` sessions fill the cap.
+    fn refuse_over_limit(&self, live: usize) -> Option<String> {
+        (live >= self.config.max_sessions)
+            .then(|| err("session_limit", &format!("{live} sessions already live")))
     }
 
     fn lock_sessions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<Mutex<SessionSlot>>>> {
@@ -816,6 +830,67 @@ mod tests {
             error_code(&h.handle(&format!(r#"{{"v":1,"op":"result","session":{first_id}}}"#))),
             "no_session"
         );
+    }
+
+    #[test]
+    fn seeds_must_be_exact_integers() {
+        let h = host();
+        // 2^53 - 1 is the largest seed a JSON number carries exactly…
+        let ok = parse(&h.handle(r#"{"v":1,"op":"create","seed":9007199254740991,"batch":5}"#));
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+        // …2^53 + 1 would parse as 2^53 and silently run the wrong seed.
+        assert_eq!(
+            error_code(&h.handle(r#"{"v":1,"op":"create","seed":9007199254740993}"#)),
+            "bad_request"
+        );
+        assert_eq!(
+            error_code(&h.handle(
+                r#"{"v":1,"op":"label","session":9007199254740993,"labels":[]}"#
+            )),
+            "bad_request"
+        );
+    }
+
+    #[test]
+    fn racing_creates_never_overshoot_the_session_limit() {
+        let h = SessionHost::new(uniform_view(200_000, 2, 3), ServeConfig {
+            max_sessions: 2,
+            ..ServeConfig::default()
+        });
+        let start = std::sync::Barrier::new(9);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (oks, peak) = std::thread::scope(|scope| {
+            let creators: Vec<_> = (0..8)
+                .map(|seed| {
+                    let (h, start) = (&h, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let frame = format!(r#"{{"v":1,"op":"create","seed":{seed},"batch":5}}"#);
+                        parse(&h.handle(&frame)).get("ok").and_then(Json::as_bool) == Some(true)
+                    })
+                })
+                .collect();
+            let poller = scope.spawn(|| {
+                start.wait();
+                let mut peak = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let stats = parse(&h.handle(r#"{"v":1,"op":"stats"}"#));
+                    peak = peak.max(stats.get("sessions_active").and_then(Json::as_u64).unwrap());
+                }
+                peak
+            });
+            let oks = creators
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .filter(|&ok| ok)
+                .count();
+            done.store(true, Ordering::Relaxed);
+            (oks, poller.join().unwrap())
+        });
+        assert!(oks <= 2, "{oks} creates succeeded under a cap of 2");
+        assert!(peak <= 2, "stats reported {peak} live sessions under a cap of 2");
+        let stats = parse(&h.handle(r#"{"v":1,"op":"stats"}"#));
+        assert_eq!(stats.get("sessions_active").and_then(Json::as_u64), Some(oks as u64));
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub struct SessionResult {
     pub total_labeled: usize,
     /// Iterations executed.
     pub iterations: usize,
-    /// Extraction-engine shards the session ran with (1 = monolithic).
-    pub shards: usize,
     /// Total system execution time.
     pub total_time: Duration,
 }
@@ -175,14 +173,12 @@ impl SessionResult {
         };
         let (incremental, rebuilds) = self.model_fit_counts();
         format!(
-            "extraction: {} queries, {} tuples examined, {} returned, {}, {} shard{}, {:.1?} in engine\n\
+            "extraction: {} queries, {} tuples examined, {} returned, {}, {:.1?} in engine\n\
              model fit: {:.1?} ({:.1}% of iteration time), {} incremental refit{} / {} full rebuild{}",
             t.queries,
             t.tuples_examined,
             t.tuples_returned,
             cache,
-            self.shards,
-            if self.shards == 1 { "" } else { "s" },
             t.elapsed,
             fit,
             share,
@@ -317,15 +313,6 @@ impl ExplorationSession {
         engine.set_pool(pool);
         engine.set_cache_enabled(config.region_cache);
         engine.set_tracer(config.tracer.clone());
-        // Reshard before the chunk-stat drain below: the per-shard index
-        // builds are construction work, not first-iteration work. An
-        // engine holding a shared region cache keeps the layout its host
-        // chose (always monolithic — sharding is incompatible with a
-        // shared cache, and server sessions ignore `AIDE_SHARDS` by
-        // design: results are shard-invariant anyway).
-        if engine.shared_cache().is_none() {
-            engine.set_shards(ExtractionEngine::resolve_shards(config.shards, &pool));
-        }
         if config.tracer.is_enabled() {
             // Construction work (index build, discovery k-means) happened
             // before the session span: clear the chunk counters so the
@@ -342,9 +329,6 @@ impl ExplorationSession {
                     ("samples_per_iteration", Value::from(config.samples_per_iteration)),
                     ("strategy", Value::from(strategy)),
                     ("index", Value::from(index)),
-                    // `shards` is stripped from timing-stripped output (the
-                    // `shard` prefix rule), keeping fingerprints invariant.
-                    ("shards", Value::from(engine.shard_count())),
                     ("region_cache", Value::from(config.region_cache)),
                     ("eval_every", Value::from(config.eval_every)),
                 ],
@@ -409,13 +393,6 @@ impl ExplorationSession {
     /// Objects the oracle has reviewed so far (the user-effort metric).
     pub fn reviewed(&self) -> usize {
         self.oracle.reviewed()
-    }
-
-    /// Extraction-engine shards this session runs with (1 = monolithic).
-    /// Resolved at construction from [`SessionConfig::shards`] and the
-    /// `AIDE_SHARDS` environment variable.
-    pub fn shards(&self) -> usize {
-        self.engine.shard_count()
     }
 
     /// The reference interest used for accuracy evaluation, if any.
@@ -743,10 +720,7 @@ impl ExplorationSession {
             let fit = fit_start.elapsed();
             model_fit += fit;
             model_rebuilt = Some(refit.rebuilt);
-            // Suppressed under `rng_compat`: pre-adoption traces carry no
-            // model_fit events, and the compat fingerprints must match
-            // them byte for byte.
-            if tracer.is_enabled() && !self.config.rng_compat {
+            if tracer.is_enabled() {
                 tracer.emit_scoped(
                     "model_fit",
                     vec![
@@ -988,7 +962,6 @@ impl ExplorationSession {
             final_f: self.last_eval.0,
             total_labeled: self.labeled.len(),
             iterations: self.iteration,
-            shards: self.engine.shard_count(),
             total_time: self.history.iter().map(|r| r.duration).sum(),
         }
     }

@@ -51,6 +51,12 @@ const MAX_NAME_LEN: u16 = 1 << 12;
 /// f64/u32 values converted per streaming chunk (512 KiB of f64s).
 const IO_CHUNK_VALUES: usize = 1 << 16;
 
+/// Rows reserved up front per lane. The header's row count is untrusted
+/// until the bytes arrive, so a larger claim grows the lanes only as
+/// data is read; datasets up to this size (10M-row benches included)
+/// still load with one allocation per lane.
+const MAX_RESERVED_ROWS: usize = 1 << 24;
+
 /// Writes `view` to `path` in the `aide-view/1` format.
 pub fn write_view(view: &NumericView, path: &Path) -> Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
@@ -120,9 +126,14 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
         )));
     }
     let n = read_u64(r, "row count")?;
-    let n: usize = n
-        .try_into()
-        .map_err(|_| DataError::Format(format!("row count {n} overflows usize")))?;
+    // Row ids are u32, so no valid file holds more rows than that.
+    if n > u64::from(u32::MAX) {
+        return Err(DataError::Format(format!(
+            "row count {n} exceeds the u32 row-id range"
+        )));
+    }
+    let n = n as usize;
+    let reserve = n.min(MAX_RESERVED_ROWS);
 
     let mut attrs = Vec::with_capacity(dims as usize);
     let mut domains = Vec::with_capacity(dims as usize);
@@ -152,7 +163,7 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
     let mut buf = vec![0u8; IO_CHUNK_VALUES * 8];
     let mut lanes = Vec::with_capacity(dims as usize);
     for d in 0..dims {
-        let mut lane = Vec::with_capacity(n);
+        let mut lane = Vec::with_capacity(reserve);
         let mut remaining = n;
         while remaining > 0 {
             let take = remaining.min(IO_CHUNK_VALUES);
@@ -168,7 +179,7 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
         lanes.push(lane);
     }
 
-    let mut row_ids = Vec::with_capacity(n);
+    let mut row_ids = Vec::with_capacity(reserve);
     let mut remaining = n;
     while remaining > 0 {
         let take = remaining.min(IO_CHUNK_VALUES);
@@ -325,6 +336,27 @@ mod tests {
         let mut bad = bytes;
         bad[lo_at..lo_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         expect_format_error(&bad, "invalid domain");
+    }
+
+    /// A header for a one-lane view claiming `n` rows, with no body.
+    fn header_only(n: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(b'x');
+        bytes.extend_from_slice(&0f64.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&1f64.to_bits().to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn oversized_row_counts_are_rejected_before_allocating() {
+        // Beyond the u32 row-id range: refused by the header check.
+        expect_format_error(&header_only(1 << 40), "row count");
+        // Within range but with no body: the capped reservation keeps the
+        // load cheap, and the missing lane bytes are reported.
+        expect_format_error(&header_only(u64::from(u32::MAX)), "truncated while reading lane 0");
     }
 
     #[test]

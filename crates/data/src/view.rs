@@ -309,64 +309,6 @@ impl NumericView {
         self.row_ids.extend_from_slice(row_ids);
     }
 
-    /// Row range `[start, end)` of shard `shard` when the view is split
-    /// into `n_shards` contiguous row-range shards.
-    ///
-    /// The boundaries are a pure function of `(len, n_shards)` — the same
-    /// contract as the `Pool` chunk decomposition — so the shard layout
-    /// never depends on the thread count, and merging per-shard results in
-    /// shard-index order reproduces the unsharded row order exactly.
-    pub fn shard_bounds(len: usize, n_shards: usize, shard: usize) -> (usize, usize) {
-        assert!(n_shards >= 1, "need at least one shard");
-        assert!(shard < n_shards, "shard {shard} out of {n_shards}");
-        (shard * len / n_shards, (shard + 1) * len / n_shards)
-    }
-
-    /// Splits the view into `n_shards` contiguous row-range shards.
-    ///
-    /// Shard `s` holds the rows of [`NumericView::shard_bounds`]`(len,
-    /// n_shards, s)` with their original `row_id`s; shard *view indices*
-    /// restart at 0, so callers mapping them back to positions in the
-    /// unsharded view must add the shard's row offset. Every shard shares
-    /// the parent's [`SpaceMapper`]. Shards may be empty when
-    /// `n_shards > len`.
-    ///
-    /// ```
-    /// use aide_data::view::{Domain, NumericView, SpaceMapper};
-    ///
-    /// let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 100.0)]);
-    /// let view = NumericView::new(mapper, vec![10.0, 20.0, 30.0, 40.0, 50.0], vec![0, 1, 2, 3, 4]);
-    /// let shards = view.partition(2);
-    /// assert_eq!(shards.len(), 2);
-    /// // Boundaries are pure in (len, n_shards): 5 rows split 2/3.
-    /// assert_eq!((shards[0].len(), shards[1].len()), (2, 3));
-    /// // Row ids survive the split; concatenating shards in order
-    /// // reproduces the original row order.
-    /// assert_eq!(shards[1].row_id(0), 2);
-    /// assert_eq!(shards[1].coord(0, 0), 30.0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards == 0`.
-    pub fn partition(&self, n_shards: usize) -> Vec<NumericView> {
-        assert!(n_shards >= 1, "need at least one shard");
-        (0..n_shards)
-            .map(|s| {
-                let (start, end) = Self::shard_bounds(self.len(), n_shards, s);
-                NumericView {
-                    mapper: self.mapper.clone(),
-                    lanes: self
-                        .lanes
-                        .iter()
-                        .map(|lane| lane[start..end].to_vec())
-                        .collect(),
-                    row_ids: self.row_ids[start..end].to_vec(),
-                }
-            })
-            .collect()
-    }
-
     /// The branch-free containment kernel: appends to `out` the indices of
     /// every row in `[start, end)` lying inside `rect`, in ascending order.
     ///
@@ -673,48 +615,5 @@ mod tests {
         // Appending is equivalent to constructing the whole view at once.
         let whole = NumericView::new(m, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![0, 1, 2]);
         assert_eq!(view, whole);
-    }
-
-    #[test]
-    fn partition_covers_rows_in_order_without_overlap() {
-        let m = mapper2();
-        let n = 23usize;
-        let data: Vec<f64> = (0..n * 2).map(|i| i as f64).collect();
-        let row_ids: Vec<u32> = (100..100 + n as u32).collect();
-        let view = NumericView::new(m, data, row_ids);
-        for n_shards in [1, 2, 3, 4, 7, 23, 40] {
-            let shards = view.partition(n_shards);
-            assert_eq!(shards.len(), n_shards);
-            // Concatenated shards reproduce the original view exactly.
-            let mut global = 0usize;
-            for (s, shard) in shards.iter().enumerate() {
-                let (start, end) = NumericView::shard_bounds(n, n_shards, s);
-                assert_eq!(shard.len(), end - start, "{n_shards} shards, shard {s}");
-                assert_eq!(global, start);
-                for i in 0..shard.len() {
-                    assert_eq!(shard.row_id(i), view.row_id(global));
-                    assert_eq!(shard.point_vec(i), view.point_vec(global));
-                    global += 1;
-                }
-            }
-            assert_eq!(global, n, "{n_shards} shards lost rows");
-        }
-    }
-
-    #[test]
-    fn shard_bounds_are_pure_in_len_and_count() {
-        // Adjacent shards tile [0, len) exactly.
-        for len in [0usize, 1, 5, 100, 101] {
-            for n in [1usize, 2, 3, 8] {
-                let mut prev_end = 0;
-                for s in 0..n {
-                    let (start, end) = NumericView::shard_bounds(len, n, s);
-                    assert_eq!(start, prev_end);
-                    assert!(end >= start);
-                    prev_end = end;
-                }
-                assert_eq!(prev_end, len);
-            }
-        }
     }
 }

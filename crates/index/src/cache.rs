@@ -53,7 +53,7 @@ pub struct CacheStats {
 /// let rect = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
 /// assert!(cache.get_query(&rect.key()).is_none()); // miss
 ///
-/// cache.put_query(&rect, Arc::new(QueryOutput { indices: vec![3, 8], examined: 40, runs: vec![] }));
+/// cache.put_query(&rect, Arc::new(QueryOutput { indices: vec![3, 8], examined: 40 }));
 /// // Keyed on the exact f64 bit pattern: the same bounds hit…
 /// assert_eq!(cache.get_query(&rect.key()).unwrap().indices, vec![3, 8]);
 /// // …and a full query result serves count lookups for free.
@@ -183,7 +183,7 @@ impl RegionCache {
 /// let shared = SharedRegionCache::new();
 /// let alias = shared.clone();
 /// let rect = Rect::new(vec![0.0], vec![1.0]);
-/// shared.put_query(&rect, Arc::new(QueryOutput { indices: vec![2], examined: 5, runs: vec![] }));
+/// shared.put_query(&rect, Arc::new(QueryOutput { indices: vec![2], examined: 5 }));
 /// // The other handle sees the entry: one cache, two holders.
 /// assert_eq!(alias.get_query(&rect.key()).unwrap().indices, vec![2]);
 /// assert_eq!(alias.len(), 1);
@@ -257,7 +257,6 @@ mod tests {
         Arc::new(QueryOutput {
             indices: (0..n as u32).collect(),
             examined: n * 3,
-            runs: Vec::new(),
         })
     }
 

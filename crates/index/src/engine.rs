@@ -13,30 +13,13 @@
 //!   rectangle (the view is immutable, so entries never go stale); a hit
 //!   still counts as an extraction query but charges **zero**
 //!   `tuples_examined` — the paper's cost model counts real work;
-//! * a **batch layer** ([`ExtractionEngine::query_batch`],
-//!   [`ExtractionEngine::count_batch`], [`ExtractionEngine::sample_batch`])
-//!   that answers a whole phase's sampling areas in one
-//!   [`Pool`](aide_util::par::Pool) pass. Results come back in input
-//!   order, and the RNG-consuming sample *selection* runs serially on the
-//!   caller's RNG after the parallel (RNG-free) query pass — so labels
-//!   and the RNG stream are bit-identical to a serial loop of
-//!   [`ExtractionEngine::sample_in_excluding`] calls for any
-//!   `AIDE_THREADS`.
-//!
-//! On top of both sits optional **sharding**
-//! ([`ExtractionEngine::set_shards`]): the view splits into contiguous
-//! row-range shards ([`NumericView::partition`]), each with its own index
-//! and its own [`RegionCache`](crate::RegionCache), built in parallel.
-//! Every query probes the shards in shard-index order and merges their
-//! results back into the monolithic output order — ascending-order paths
-//! by concatenation, the grid by interleaving aligned per-cell runs
-//! ([`QueryOutput::runs`]) — so outputs, stats, labels and the caller's
-//! RNG stream are bit-identical to the unsharded engine at any
-//! `AIDE_SHARDS × AIDE_THREADS` combination. (The one caveat:
-//! [`KdTree`]/[`SortedIndex`] shards may *examine* a different number of
-//! tuples than the monolithic index, because their pruning decisions
-//! depend on the point set they were built over; indices, counts and
-//! samples still match exactly.)
+//! * a **batch layer** ([`ExtractionEngine::query_batch_outputs`],
+//!   [`ExtractionEngine::count_batch`]) that answers a whole phase's
+//!   sampling areas in one [`Pool`](aide_util::par::Pool) pass, results
+//!   in input order and costs identical to a serial loop, plus
+//!   [`ExtractionEngine::select_batch_streams`], which selects samples
+//!   from those results on RNG streams pre-split per request — so labels
+//!   are bit-identical for any `AIDE_THREADS`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -49,8 +32,7 @@ use aide_util::rng::{Rng, Xoshiro256pp};
 use aide_util::trace::Tracer;
 
 use crate::{
-    CacheStats, CountOutput, GridIndex, KdTree, QueryOutput, RegionCache, RegionIndex, ScanIndex,
-    SharedRegionCache, SortedIndex,
+    CountOutput, GridIndex, QueryOutput, RegionCache, RegionIndex, ScanIndex, SharedRegionCache,
 };
 
 /// Which access path the engine uses.
@@ -58,11 +40,8 @@ use crate::{
 pub enum IndexKind {
     /// Equi-width grid buckets (default; models the covering index).
     Grid,
-    /// Median-split k-d tree.
-    KdTree,
-    /// Per-attribute sorted lists with residual filtering.
-    Sorted,
-    /// Full scan on every query (models the expensive path of §5.2).
+    /// Full scan on every query (models the expensive path of §5.2, and
+    /// the reference the grid is checked against).
     Scan,
 }
 
@@ -75,23 +54,6 @@ pub struct Sample {
     pub row_id: u32,
     /// Normalized coordinates of the object.
     pub point: Vec<f64>,
-}
-
-/// One entry of a [`ExtractionEngine::sample_batch`] call: a sampling
-/// area plus how many samples to draw from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleRequest {
-    /// The sampling area.
-    pub rect: Rect,
-    /// Per-rect sample budget (0 issues no query, like the serial path).
-    pub n: usize,
-}
-
-impl SampleRequest {
-    /// A request for up to `n` samples inside `rect`.
-    pub fn new(rect: Rect, n: usize) -> Self {
-        Self { rect, n }
-    }
 }
 
 /// Cumulative extraction costs since the last reset.
@@ -111,25 +73,6 @@ pub struct ExtractionStats {
     pub cache_misses: u64,
     /// Wall-clock time spent inside the engine.
     pub elapsed: Duration,
-}
-
-/// One horizontal partition of a sharded engine: a contiguous row-range
-/// view, its own index built against the *full* view's layout, and its
-/// own result cache. Until rows are appended, every shard cache sees the
-/// same lookup/insert sequence as every other's (and they saturate
-/// [`RegionCache::MAX_ENTRIES`](crate::RegionCache::MAX_ENTRIES)
-/// simultaneously), so cache hits are all-or-nothing across shards and
-/// the engine's hit/miss accounting matches the monolithic engine's.
-/// [`ExtractionEngine::append_rows`] clears only the tail shard's cache;
-/// a partially cached rectangle then counts as a miss and re-queries (and
-/// re-caches) every shard, restoring lockstep for that key.
-struct Shard {
-    view: NumericView,
-    /// Index of this shard's first row in the full view; merged outputs
-    /// add it to per-shard view indices.
-    offset: u32,
-    index: Box<dyn RegionIndex>,
-    cache: RegionCache,
 }
 
 /// The engine's region cache: owned by this engine (the default) or a
@@ -197,17 +140,6 @@ pub struct ExtractionEngine {
     cache: CacheSlot,
     cache_enabled: bool,
     tracer: Tracer,
-    /// Empty = monolithic (the default); `n ≥ 2` entries = sharded.
-    shards: Vec<Shard>,
-    /// Grid bucket resolution the shard layout was frozen at by
-    /// [`ExtractionEngine::set_shards`]; [`ExtractionEngine::append_rows`]
-    /// rebuilds the tail shard at this resolution so every shard keeps the
-    /// same cell layout (the run-interleave merge depends on it). 0 when
-    /// monolithic.
-    shard_grid_resolution: usize,
-    /// Per-shard cumulative `tuples_examined`, maintained only when
-    /// sharded; batch calls emit the per-wave deltas in trace events.
-    shard_examined_total: Vec<u64>,
 }
 
 impl std::fmt::Debug for ExtractionEngine {
@@ -216,7 +148,6 @@ impl std::fmt::Debug for ExtractionEngine {
             .field("points", &self.view.len())
             .field("dims", &self.view.dims())
             .field("index", &self.index.name())
-            .field("shards", &self.shard_count())
             .field("threads", &self.pool.threads())
             .field("cache_enabled", &self.cache_enabled)
             .field("cached_rects", &self.cache.len())
@@ -252,9 +183,6 @@ impl ExtractionEngine {
             cache: CacheSlot::Owned(RegionCache::new()),
             cache_enabled: true,
             tracer: Tracer::disabled(),
-            shards: Vec::new(),
-            shard_grid_resolution: 0,
-            shard_examined_total: Vec::new(),
         }
     }
 
@@ -284,102 +212,9 @@ impl ExtractionEngine {
         self.pool = pool;
     }
 
-    /// Number of horizontal shards answering queries (1 = monolithic).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len().max(1)
-    }
-
-    /// Resolves a configured shard count against the `AIDE_SHARDS`
-    /// environment override and the engine's pool, mirroring
-    /// [`Pool::from_env`]'s precedence: the environment variable beats
-    /// `configured`, and `0` means *auto* — one shard per pool thread.
-    pub fn resolve_shards(configured: usize, pool: &Pool) -> usize {
-        let n = std::env::var("AIDE_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(configured);
-        if n == 0 {
-            pool.threads()
-        } else {
-            n
-        }
-    }
-
-    /// Repartitions the engine into `n_shards` contiguous row-range shards
-    /// ([`NumericView::partition`]), each with its own index and result
-    /// cache. Shard indexes build in parallel — one task per shard on the
-    /// engine's pool, each build itself serial, so the pool records
-    /// exactly one call of `n_shards` chunks for any thread count.
-    ///
-    /// `1` restores the monolithic path. Call this **before** issuing
-    /// queries: shard caches start empty, and the engine's hit/miss
-    /// accounting only mirrors the monolithic engine's when the monolithic
-    /// cache was empty too at the switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards == 0`.
-    pub fn set_shards(&mut self, n_shards: usize) {
-        assert!(n_shards >= 1, "need at least one shard");
-        if n_shards == self.shard_count() {
-            return;
-        }
-        assert!(
-            !self.cache.is_shared(),
-            "a sharded engine keeps per-shard caches; install the shared \
-             cache on a monolithic engine only"
-        );
-        self.shards = Vec::new();
-        self.shard_grid_resolution = 0;
-        self.shard_examined_total = Vec::new();
-        if n_shards == 1 {
-            return;
-        }
-        let full_len = self.view.len();
-        let dims = self.view.dims();
-        let kind = self.kind;
-        // Frozen for the lifetime of this shard layout: appended rows must
-        // not shift the grid bucket resolution under the peer shards.
-        let grid_resolution = GridIndex::heuristic_resolution(full_len, dims);
-        self.shard_grid_resolution = grid_resolution;
-        let shard_views = self.view.partition(n_shards);
-        let indexes: Vec<Box<dyn RegionIndex>> = self.pool.par_map_collect(n_shards, 1, |r| {
-            r.map(|s| build_shard_index(&shard_views[s], kind, grid_resolution))
-                .collect()
-        });
-        self.shards = shard_views
-            .into_iter()
-            .zip(indexes)
-            .enumerate()
-            .map(|(s, (view, index))| Shard {
-                view,
-                offset: NumericView::shard_bounds(full_len, n_shards, s).0 as u32,
-                index,
-                cache: RegionCache::new(),
-            })
-            .collect();
-        self.shard_examined_total = vec![0; n_shards];
-    }
-
     /// Appends rows (normalized row-major data plus source row ids) to the
-    /// engine's view and reindexes **incrementally**.
-    ///
-    /// A monolithic engine rebuilds its whole index and drops its cache —
-    /// equivalent to a fresh engine over the extended view. A sharded
-    /// engine instead freezes the layout chosen at
-    /// [`ExtractionEngine::set_shards`] time: existing shard boundaries
-    /// (and the grid bucket resolution) stay put, the new rows extend only
-    /// the **tail** shard's view, and only that shard's [`RegionIndex`] is
-    /// rebuilt and its [`RegionCache`] cleared. Peer shards keep their
-    /// indexes, their cache entries *and* their hit/miss counters: their
-    /// row ranges did not change, so every cached result is still exact.
-    /// `shard_bounds` being pure in `len` is what makes the tail extension
-    /// local — the historical boundaries remain a valid contiguous
-    /// partition of the grown view.
-    ///
-    /// After an append the shard caches are no longer in lockstep (the
-    /// tail starts cold); a partially cached rectangle counts as a miss
-    /// and re-queries every shard, overwriting all entries for that key.
+    /// engine's view, rebuilds the whole index and clears the owned cache —
+    /// equivalent to a fresh engine over the extended view.
     ///
     /// If other handles to the view exist (see
     /// [`ExtractionEngine::view_arc`]), the engine clones the view first
@@ -387,8 +222,9 @@ impl ExtractionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` is not a multiple of the dimensionality or
-    /// disagrees with `row_ids.len()`.
+    /// Panics on an engine holding a [`SharedRegionCache`] (other holders'
+    /// cached results would go stale), or if `data.len()` is not a multiple
+    /// of the dimensionality or disagrees with `row_ids.len()`.
     pub fn append_rows(&mut self, data: &[f64], row_ids: &[u32]) {
         assert!(
             !self.cache.is_shared(),
@@ -397,22 +233,8 @@ impl ExtractionEngine {
              the never-invalidate contract"
         );
         Arc::make_mut(&mut self.view).append_rows(data, row_ids);
-        if self.shards.is_empty() {
-            self.index = Arc::from(build_index(&self.view, self.kind, &self.pool));
-            self.cache = CacheSlot::Owned(RegionCache::new());
-            return;
-        }
-        let tail = self.shards.last_mut().expect("sharded engine has shards");
-        tail.view.append_rows(data, row_ids);
-        tail.index = build_shard_index(&tail.view, self.kind, self.shard_grid_resolution);
-        tail.cache = RegionCache::new();
-    }
-
-    /// Per-shard cache hit/miss counters, in shard order (empty when
-    /// monolithic). Diagnostics for the append path: untouched shards keep
-    /// their counters across [`ExtractionEngine::append_rows`].
-    pub fn shard_cache_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.cache.stats()).collect()
+        self.index = Arc::from(build_index(&self.view, self.kind, &self.pool));
+        self.cache = CacheSlot::Owned(RegionCache::new());
     }
 
     /// The tracer batch calls emit `wave` events to (disabled by default).
@@ -439,13 +261,9 @@ impl ExtractionEngine {
         self.cache_enabled = enabled;
     }
 
-    /// Number of distinct rectangles currently cached. When sharded, every
-    /// shard cache holds the same key set; shard 0's length is reported.
+    /// Number of distinct rectangles currently cached.
     pub fn cached_regions(&self) -> usize {
-        match self.shards.first() {
-            Some(shard) => shard.cache.len(),
-            None => self.cache.len(),
-        }
+        self.cache.len()
     }
 
     /// Replaces this engine's owned region cache with a handle to a
@@ -456,16 +274,7 @@ impl ExtractionEngine {
     /// what any query returns. The engine keeps booking its *own*
     /// hit/miss counters into [`ExtractionEngine::stats`]; the shared
     /// cache's [`SharedRegionCache::stats`] aggregates across holders.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded engine — shard caches are per-shard by
-    /// construction, and the server's host engine is always monolithic.
     pub fn set_shared_cache(&mut self, cache: SharedRegionCache) {
-        assert!(
-            self.shards.is_empty(),
-            "shared region caches require a monolithic engine"
-        );
         self.cache = CacheSlot::Shared(cache);
     }
 
@@ -486,16 +295,7 @@ impl ExtractionEngine {
     ///
     /// This is the server's session-spawn path: one index build and one
     /// region cache serve every concurrent session over the view.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded engine (per-shard state is not forkable; the
-    /// server host is always monolithic).
     pub fn fork_session(&self) -> ExtractionEngine {
-        assert!(
-            self.shards.is_empty(),
-            "fork_session requires a monolithic engine"
-        );
         ExtractionEngine {
             view: Arc::clone(&self.view),
             index: Arc::clone(&self.index),
@@ -508,9 +308,6 @@ impl ExtractionEngine {
             },
             cache_enabled: self.cache_enabled,
             tracer: Tracer::disabled(),
-            shards: Vec::new(),
-            shard_grid_resolution: 0,
-            shard_examined_total: Vec::new(),
         }
     }
 
@@ -548,20 +345,11 @@ impl ExtractionEngine {
     /// submitted rectangles and the cache state — never of the thread
     /// count — so traced content stays deterministic. One branch when the
     /// tracer is disabled.
-    fn trace_wave(&self, rects: usize, before: ExtractionStats, before_shard: &[u64], start: Instant) {
+    fn trace_wave(&self, rects: usize, before: ExtractionStats, start: Instant) {
         if !self.tracer.is_enabled() || rects == 0 {
             return;
         }
         let now = self.stats;
-        // Per-shard examined deltas, present only when sharded; the field
-        // is stripped from timing-stripped output (`shard` prefix rule) so
-        // fingerprints stay shard-count invariant.
-        let shard_examined: Vec<u64> = self
-            .shard_examined_total
-            .iter()
-            .zip(before_shard)
-            .map(|(now, before)| now - before)
-            .collect();
         self.tracer.wave(
             rects as u64,
             now.queries - before.queries,
@@ -569,50 +357,12 @@ impl ExtractionEngine {
             now.cache_misses - before.cache_misses,
             now.tuples_examined - before.tuples_examined,
             now.tuples_returned - before.tuples_returned,
-            &shard_examined,
             start.elapsed().as_micros() as u64,
         );
     }
 
-    /// Probes every shard cache for `rect` — every one, even after a miss,
-    /// so the per-shard tallies stay aligned — and merges the parts only
-    /// when **all** shards hit. A partial hit (possible after
-    /// [`ExtractionEngine::append_rows`] cleared the tail shard's cache)
-    /// counts as a miss; the caller re-queries and re-caches every shard.
-    fn sharded_cached_query(&mut self, key: &RectKey) -> Option<Arc<QueryOutput>> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter_mut() {
-            parts.push(shard.cache.get_query(key));
-        }
-        if parts.iter().any(Option::is_none) {
-            return None;
-        }
-        let parts: Vec<Arc<QueryOutput>> = parts.into_iter().flatten().collect();
-        Some(Arc::new(merge_shard_parts(&self.shards, &parts)))
-    }
-
-    /// Count-path twin of [`Self::sharded_cached_query`].
-    fn sharded_cached_count(&mut self, key: &RectKey) -> Option<CountOutput> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter_mut() {
-            parts.push(shard.cache.get_count(key));
-        }
-        if parts.iter().any(Option::is_none) {
-            return None;
-        }
-        let (mut count, mut examined) = (0, 0);
-        for p in parts.into_iter().flatten() {
-            count += p.count;
-            examined += p.examined;
-        }
-        Some(CountOutput { count, examined })
-    }
-
     /// The cached query path every single-rect entry point routes through.
     fn fetch_query(&mut self, rect: &Rect) -> Arc<QueryOutput> {
-        if !self.shards.is_empty() {
-            return self.fetch_query_sharded(rect);
-        }
         if self.cache_enabled {
             if let Some(hit) = self.cache.get_query(&rect.key()) {
                 self.book_hit(hit.indices.len());
@@ -625,33 +375,6 @@ impl ExtractionEngine {
             self.cache.put_query(rect, Arc::clone(&out));
         }
         out
-    }
-
-    /// [`Self::fetch_query`] over the shards: serial probe in shard-index
-    /// order, merge, book against the merged totals, cache the parts.
-    fn fetch_query_sharded(&mut self, rect: &Rect) -> Arc<QueryOutput> {
-        if self.cache_enabled {
-            if let Some(merged) = self.sharded_cached_query(&rect.key()) {
-                self.book_hit(merged.indices.len());
-                return merged;
-            }
-        }
-        let (merged, parts) = query_shards(&self.shards, rect);
-        let merged = Arc::new(merged);
-        self.book_miss(merged.examined, merged.indices.len());
-        let cache_enabled = self.cache_enabled;
-        for ((shard, part), total) in self
-            .shards
-            .iter_mut()
-            .zip(&parts)
-            .zip(self.shard_examined_total.iter_mut())
-        {
-            *total += part.examined as u64;
-            if cache_enabled {
-                shard.cache.put_query(rect, Arc::clone(part));
-            }
-        }
-        merged
     }
 
     /// All view indices inside `rect` (one extraction query).
@@ -667,9 +390,6 @@ impl ExtractionEngine {
     /// [`RegionIndex::count`], which never materializes the matching-index
     /// vector — density probes over large rectangles stay allocation-free.
     pub fn count_in(&mut self, rect: &Rect) -> usize {
-        if !self.shards.is_empty() {
-            return self.count_in_sharded(rect);
-        }
         let start = Instant::now();
         let out = if self.cache_enabled {
             if let Some(hit) = self.cache.get_count(&rect.key()) {
@@ -686,34 +406,6 @@ impl ExtractionEngine {
         self.book_miss(out.examined, out.count);
         self.stats.elapsed += start.elapsed();
         out.count
-    }
-
-    /// [`Self::count_in`] over the shards.
-    fn count_in_sharded(&mut self, rect: &Rect) -> usize {
-        let start = Instant::now();
-        if self.cache_enabled {
-            if let Some(hit) = self.sharded_cached_count(&rect.key()) {
-                self.book_hit(hit.count);
-                self.stats.elapsed += start.elapsed();
-                return hit.count;
-            }
-        }
-        let (merged, parts) = count_shards(&self.shards, rect);
-        let cache_enabled = self.cache_enabled;
-        for ((shard, part), total) in self
-            .shards
-            .iter_mut()
-            .zip(&parts)
-            .zip(self.shard_examined_total.iter_mut())
-        {
-            *total += part.examined as u64;
-            if cache_enabled {
-                shard.cache.put_count(rect, *part);
-            }
-        }
-        self.book_miss(merged.examined, merged.count);
-        self.stats.elapsed += start.elapsed();
-        merged.count
     }
 
     /// Fraction of all points lying inside `rect` (one extraction query);
@@ -757,12 +449,12 @@ impl ExtractionEngine {
         samples
     }
 
-    /// The RNG-consuming half of sampling, split out so batch calls can
-    /// run it serially in input order after the parallel query pass. RNG
-    /// consumption depends only on the candidate count, so for a given
-    /// query result this is bit-identical however the result was obtained
-    /// (index, cache, serial or parallel). Charges no stats.
-    pub fn select_excluding<R: Rng + ?Sized>(
+    /// The RNG-consuming half of sampling, shared by the single-rect path
+    /// and [`ExtractionEngine::select_batch_streams`]. RNG consumption
+    /// depends only on the candidate count, so for a given query result
+    /// this is bit-identical however the result was obtained (index,
+    /// cache, serial or parallel). Charges no stats.
+    fn select_excluding<R: Rng + ?Sized>(
         &self,
         out: &QueryOutput,
         n: usize,
@@ -800,8 +492,8 @@ impl ExtractionEngine {
     }
 
     /// Number of candidates a query result holds after removing `excluded`
-    /// rows — the exact yield of a [`ExtractionEngine::select_excluding`]
-    /// call with `n >=` this count. RNG-free: phases use it to settle
+    /// rows — the exact yield of a selection asking for at least this
+    /// many samples. RNG-free: phases use it to settle
     /// budget propagation *before* selection, so selection itself can run
     /// on pre-split streams without changing how much later areas receive.
     pub fn count_candidates(&self, out: &QueryOutput, excluded: &HashSet<u32>) -> usize {
@@ -818,7 +510,7 @@ impl ExtractionEngine {
     /// Whether a query result still holds at least one candidate after
     /// removing `excluded` rows. RNG-free — phases use it to decide
     /// fallback queries *before* any selection draw happens, which is what
-    /// lets them batch all queries while keeping the serial RNG stream.
+    /// lets them batch all queries ahead of selection.
     pub fn has_candidates(&self, out: &QueryOutput, excluded: &HashSet<u32>) -> bool {
         if excluded.is_empty() {
             !out.indices.is_empty()
@@ -840,7 +532,6 @@ impl ExtractionEngine {
     pub fn query_batch_outputs(&mut self, rects: &[Rect]) -> Vec<Arc<QueryOutput>> {
         let start = Instant::now();
         let before = self.stats;
-        let before_shard = self.shard_examined_total.clone();
         let mut results: Vec<Option<Arc<QueryOutput>>> = vec![None; rects.len()];
         // dup_of[i] = earlier batch position with a bit-identical rect.
         let mut dup_of: Vec<Option<usize>> = vec![None; rects.len()];
@@ -849,12 +540,7 @@ impl ExtractionEngine {
             let mut first_seen: HashMap<RectKey, usize> = HashMap::new();
             for (i, rect) in rects.iter().enumerate() {
                 let key = rect.key();
-                let hit = if self.shards.is_empty() {
-                    self.cache.get_query(&key)
-                } else {
-                    self.sharded_cached_query(&key)
-                };
-                if let Some(hit) = hit {
+                if let Some(hit) = self.cache.get_query(&key) {
                     self.book_hit(hit.indices.len());
                     results[i] = Some(hit);
                 } else if let Some(&j) = first_seen.get(&key) {
@@ -868,48 +554,20 @@ impl ExtractionEngine {
             misses.extend(0..rects.len());
         }
 
-        // The parallel pass: RNG-free index queries only. Chunk size 1 and
-        // chunk-index-order reassembly keep results in input order for any
-        // thread count. Sharded or not, one work item per cache miss:
-        // sharding must not change the pool's call/chunk accounting, so
-        // each item probes every shard serially *inside* the task and
-        // merges there.
+        // The parallel pass: RNG-free index queries only, one work item
+        // per cache miss. Chunk size 1 and chunk-index-order reassembly
+        // keep results in input order for any thread count.
         let pool = self.pool;
         let (view, index) = (&self.view, &self.index);
-        let shards = &self.shards;
-        let fresh: Vec<(Arc<QueryOutput>, Vec<Arc<QueryOutput>>)> =
-            pool.par_map_collect(misses.len(), 1, |r| {
-                r.map(|m| {
-                    let rect = &rects[misses[m]];
-                    if shards.is_empty() {
-                        (Arc::new(index.query(view, rect)), Vec::new())
-                    } else {
-                        let (merged, parts) = query_shards(shards, rect);
-                        (Arc::new(merged), parts)
-                    }
-                })
+        let fresh: Vec<Arc<QueryOutput>> = pool.par_map_collect(misses.len(), 1, |r| {
+            r.map(|m| Arc::new(index.query(view, &rects[misses[m]])))
                 .collect()
-            });
+        });
 
-        for ((out, parts), &i) in fresh.iter().zip(&misses) {
+        for (out, &i) in fresh.iter().zip(&misses) {
             self.book_miss(out.examined, out.indices.len());
-            let cache_enabled = self.cache_enabled;
-            if self.shards.is_empty() {
-                if cache_enabled {
-                    self.cache.put_query(&rects[i], Arc::clone(out));
-                }
-            } else {
-                for ((shard, part), total) in self
-                    .shards
-                    .iter_mut()
-                    .zip(parts)
-                    .zip(self.shard_examined_total.iter_mut())
-                {
-                    *total += part.examined as u64;
-                    if cache_enabled {
-                        shard.cache.put_query(&rects[i], Arc::clone(part));
-                    }
-                }
+            if self.cache_enabled {
+                self.cache.put_query(&rects[i], Arc::clone(out));
             }
             results[i] = Some(Arc::clone(out));
         }
@@ -921,7 +579,7 @@ impl ExtractionEngine {
             }
         }
         self.stats.elapsed += start.elapsed();
-        self.trace_wave(rects.len(), before, &before_shard, start);
+        self.trace_wave(rects.len(), before, start);
         results
             .into_iter()
             .map(|r| r.expect("every rect resolved"))
@@ -967,7 +625,6 @@ impl ExtractionEngine {
     pub fn count_batch(&mut self, rects: &[Rect]) -> Vec<usize> {
         let start = Instant::now();
         let before = self.stats;
-        let before_shard = self.shard_examined_total.clone();
         let mut results: Vec<Option<CountOutput>> = vec![None; rects.len()];
         let mut dup_of: Vec<Option<usize>> = vec![None; rects.len()];
         let mut misses: Vec<usize> = Vec::new();
@@ -975,12 +632,7 @@ impl ExtractionEngine {
             let mut first_seen: HashMap<RectKey, usize> = HashMap::new();
             for (i, rect) in rects.iter().enumerate() {
                 let key = rect.key();
-                let hit = if self.shards.is_empty() {
-                    self.cache.get_count(&key)
-                } else {
-                    self.sharded_cached_count(&key)
-                };
-                if let Some(hit) = hit {
+                if let Some(hit) = self.cache.get_count(&key) {
                     self.book_hit(hit.count);
                     results[i] = Some(hit);
                 } else if let Some(&j) = first_seen.get(&key) {
@@ -996,41 +648,16 @@ impl ExtractionEngine {
 
         let pool = self.pool;
         let (view, index) = (&self.view, &self.index);
-        let shards = &self.shards;
-        let fresh: Vec<(CountOutput, Vec<CountOutput>)> =
-            pool.par_map_collect(misses.len(), 1, |r| {
-                r.map(|m| {
-                    let rect = &rects[misses[m]];
-                    if shards.is_empty() {
-                        (index.count(view, rect), Vec::new())
-                    } else {
-                        count_shards(shards, rect)
-                    }
-                })
-                .collect()
-            });
+        let fresh: Vec<CountOutput> = pool.par_map_collect(misses.len(), 1, |r| {
+            r.map(|m| index.count(view, &rects[misses[m]])).collect()
+        });
 
-        for ((out, parts), &i) in fresh.iter().zip(&misses) {
+        for (&out, &i) in fresh.iter().zip(&misses) {
             self.book_miss(out.examined, out.count);
-            let cache_enabled = self.cache_enabled;
-            if self.shards.is_empty() {
-                if cache_enabled {
-                    self.cache.put_count(&rects[i], *out);
-                }
-            } else {
-                for ((shard, part), total) in self
-                    .shards
-                    .iter_mut()
-                    .zip(parts)
-                    .zip(self.shard_examined_total.iter_mut())
-                {
-                    *total += part.examined as u64;
-                    if cache_enabled {
-                        shard.cache.put_count(&rects[i], *part);
-                    }
-                }
+            if self.cache_enabled {
+                self.cache.put_count(&rects[i], out);
             }
-            results[i] = Some(*out);
+            results[i] = Some(out);
         }
         for i in 0..rects.len() {
             if let Some(j) = dup_of[i] {
@@ -1040,85 +667,20 @@ impl ExtractionEngine {
             }
         }
         self.stats.elapsed += start.elapsed();
-        self.trace_wave(rects.len(), before, &before_shard, start);
+        self.trace_wave(rects.len(), before, start);
         results
             .into_iter()
             .map(|r| r.expect("every rect resolved").count)
             .collect()
     }
 
-    /// Answers a whole phase's sampling areas at once: the (RNG-free)
-    /// queries run in one pool pass, then selection runs serially in input
-    /// order on the caller's RNG — so the returned samples and the state
-    /// of `rng` afterwards are **bit-identical** to a serial loop of
-    /// [`ExtractionEngine::sample_in_excluding`] calls, for any thread
-    /// count. Requests with `n == 0` issue no query, like the serial path.
-    pub fn sample_batch<R: Rng + ?Sized>(
-        &mut self,
-        requests: &[SampleRequest],
-        rng: &mut R,
-        excluded: &HashSet<u32>,
-    ) -> Vec<Vec<Sample>> {
-        let active: Vec<usize> = (0..requests.len()).filter(|&i| requests[i].n > 0).collect();
-        let rects: Vec<Rect> = active.iter().map(|&i| requests[i].rect.clone()).collect();
-        let outputs = self.query_batch_outputs(&rects);
-        let start = Instant::now();
-        let mut results: Vec<Vec<Sample>> = vec![Vec::new(); requests.len()];
-        for (out, &i) in outputs.iter().zip(&active) {
-            results[i] = self.select_excluding(out, requests[i].n, rng, excluded);
-        }
-        self.stats.elapsed += start.elapsed();
-        results
-    }
-
-    /// Fully parallel sampling: each request selects from its own RNG
-    /// stream pre-split off `rng`
-    /// ([`Xoshiro256pp::split_streams`]), so selection can run inside the
-    /// pool pass too. Deterministic for any thread count (streams are
-    /// assigned by input position and `rng` advances by exactly one draw),
-    /// but **not** label-compatible with the serial path — use
-    /// [`ExtractionEngine::sample_batch`] when replaying sessions recorded
-    /// against serial sampling.
-    pub fn sample_batch_streams(
-        &mut self,
-        requests: &[SampleRequest],
-        rng: &mut Xoshiro256pp,
-        excluded: &HashSet<u32>,
-    ) -> Vec<Vec<Sample>> {
-        let active: Vec<usize> = (0..requests.len()).filter(|&i| requests[i].n > 0).collect();
-        let rects: Vec<Rect> = active.iter().map(|&i| requests[i].rect.clone()).collect();
-        let streams = rng.split_streams(active.len());
-        let outputs = self.query_batch_outputs(&rects);
-        let start = Instant::now();
-        let pool = self.pool;
-        let selected: Vec<Vec<Sample>> = {
-            let this = &*self;
-            pool.par_map_collect(active.len(), 1, |r| {
-                r.map(|k| {
-                    let mut stream = streams[k].clone();
-                    this.select_excluding(&outputs[k], requests[active[k]].n, &mut stream, excluded)
-                })
-                .collect()
-            })
-        };
-        let mut results: Vec<Vec<Sample>> = vec![Vec::new(); requests.len()];
-        for (samples, &i) in selected.into_iter().zip(&active) {
-            results[i] = samples;
-        }
-        self.stats.elapsed += start.elapsed();
-        results
-    }
-
-    /// The selection half of [`ExtractionEngine::sample_batch_streams`] for
-    /// callers that already hold the wave's query outputs (phases make
-    /// RNG-free fallback decisions between the query pass and selection):
-    /// streams are pre-split off `rng` for the positions with `want > 0`
-    /// (in input order, `rng` advances by exactly one draw) and each
-    /// position selects on its own stream inside the pool pass.
-    /// Deterministic for any thread count; **not** label-compatible with a
-    /// serial [`ExtractionEngine::select_excluding`] loop — sessions replay
-    /// old traces via their `rng_compat` switch. Charges no stats, like
-    /// the serial selection it replaces.
+    /// Selects samples from a wave's query outputs (phases make RNG-free
+    /// fallback decisions between the query pass and selection): streams
+    /// are pre-split off `rng` ([`Xoshiro256pp::split_streams`]) for the
+    /// positions with `want > 0` (in input order; `rng` advances by
+    /// exactly one draw) and each position selects up to its `want`
+    /// samples on its own stream inside the pool pass. Deterministic for
+    /// any thread count. Charges no stats.
     pub fn select_batch_streams(
         &self,
         outputs: &[Arc<QueryOutput>],
@@ -1145,102 +707,19 @@ impl ExtractionEngine {
     }
 }
 
-/// Builds the monolithic access path for `view` on `pool`.
+/// Builds the access path for `view` on `pool`.
 fn build_index(view: &NumericView, kind: IndexKind, pool: &Pool) -> Box<dyn RegionIndex> {
     match kind {
         IndexKind::Grid => Box::new(GridIndex::build_with(view, pool)),
-        IndexKind::KdTree => Box::new(KdTree::build_with(view, pool)),
-        IndexKind::Sorted => Box::new(SortedIndex::build_with(view, pool)),
         IndexKind::Scan => Box::new(ScanIndex::new()),
-    }
-}
-
-/// Builds one shard's access path. Grid shards build at the engine's
-/// frozen `grid_resolution` (the full view's heuristic resolution at
-/// [`ExtractionEngine::set_shards`] time) with run recording on
-/// ([`GridIndex::build_shard`]) so their bucket layouts — and query visit
-/// orders — line up across shards; the other kinds return ascending view
-/// order, which merges by concatenation. Builds are serial:
-/// [`ExtractionEngine::set_shards`] parallelizes *across* shards.
-fn build_shard_index(
-    view: &NumericView,
-    kind: IndexKind,
-    grid_resolution: usize,
-) -> Box<dyn RegionIndex> {
-    let serial = Pool::serial();
-    match kind {
-        IndexKind::Grid => Box::new(GridIndex::build_shard(view, grid_resolution, &serial)),
-        IndexKind::KdTree => Box::new(KdTree::build_with(view, &serial)),
-        IndexKind::Sorted => Box::new(SortedIndex::build_with(view, &serial)),
-        IndexKind::Scan => Box::new(ScanIndex::new()),
-    }
-}
-
-/// Queries every shard serially in shard-index order and merges; returns
-/// the merged output plus the per-shard parts (for the shard caches).
-fn query_shards(shards: &[Shard], rect: &Rect) -> (QueryOutput, Vec<Arc<QueryOutput>>) {
-    let parts: Vec<Arc<QueryOutput>> = shards
-        .iter()
-        .map(|s| Arc::new(s.index.query(&s.view, rect)))
-        .collect();
-    let merged = merge_shard_parts(shards, &parts);
-    (merged, parts)
-}
-
-/// Counts over every shard serially; merged totals plus per-shard parts.
-fn count_shards(shards: &[Shard], rect: &Rect) -> (CountOutput, Vec<CountOutput>) {
-    let parts: Vec<CountOutput> = shards.iter().map(|s| s.index.count(&s.view, rect)).collect();
-    let merged = CountOutput {
-        count: parts.iter().map(|p| p.count).sum(),
-        examined: parts.iter().map(|p| p.examined).sum(),
-    };
-    (merged, parts)
-}
-
-/// Merges per-shard query outputs into the monolithic output order.
-///
-/// Ascending-order access paths (scan, k-d tree, sorted): shard `s`'s rows
-/// all precede shard `s+1`'s in the full view, so concatenation in shard
-/// order — offset into the full view's index space — reproduces the
-/// monolithic ascending order. The grid's cell-major order instead
-/// interleaves across shards cell by cell: shard grids share the bucket
-/// layout, so every part records the same visited-cell sequence in
-/// [`QueryOutput::runs`], and walking the aligned runs in shard order
-/// reconstructs the monolithic visit order exactly.
-fn merge_shard_parts(shards: &[Shard], parts: &[Arc<QueryOutput>]) -> QueryOutput {
-    debug_assert_eq!(shards.len(), parts.len());
-    let examined = parts.iter().map(|p| p.examined).sum();
-    let total: usize = parts.iter().map(|p| p.indices.len()).sum();
-    let mut indices = Vec::with_capacity(total);
-    if parts[0].runs.is_empty() {
-        for (shard, part) in shards.iter().zip(parts) {
-            indices.extend(part.indices.iter().map(|&i| i + shard.offset));
-        }
-    } else {
-        let n_runs = parts[0].runs.len();
-        let mut cursors = vec![0usize; parts.len()];
-        for run in 0..n_runs {
-            for (s, (shard, part)) in shards.iter().zip(parts).enumerate() {
-                debug_assert_eq!(part.runs.len(), n_runs, "shard grids share cell layout");
-                let len = part.runs[run] as usize;
-                let seg = &part.indices[cursors[s]..cursors[s] + len];
-                indices.extend(seg.iter().map(|&i| i + shard.offset));
-                cursors[s] += len;
-            }
-        }
-    }
-    QueryOutput {
-        indices,
-        examined,
-        runs: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheStats;
     use aide_data::view::{Domain, SpaceMapper};
-    use aide_util::rng::Xoshiro256pp;
 
     fn grid_view(n_per_side: usize) -> NumericView {
         // Regular lattice so counts are exact.
@@ -1265,12 +744,7 @@ mod tests {
         let view = grid_view(30);
         let rect = Rect::new(vec![10.0, 10.0], vec![55.0, 40.0]);
         let mut counts = Vec::new();
-        for kind in [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ] {
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
             let mut engine = ExtractionEngine::new(view.clone(), kind);
             counts.push(engine.count_in(&rect));
         }
@@ -1403,61 +877,58 @@ mod tests {
     }
 
     #[test]
-    fn sample_batch_is_bit_identical_to_serial_loop_including_rng_state() {
+    fn batch_selection_matches_serial_selection_on_presplit_streams() {
         let view = grid_view(25);
-        let requests: Vec<SampleRequest> = (0..10)
+        let rects: Vec<Rect> = (0..10)
             .map(|i| {
                 let lo = (i * 11 % 60) as f64;
-                SampleRequest::new(
-                    Rect::new(vec![lo, 0.0], vec![lo + 19.0, 45.0]),
-                    if i == 4 { 0 } else { 3 + i % 4 },
-                )
+                Rect::new(vec![lo, 0.0], vec![lo + 19.0, 45.0])
             })
             .collect();
+        let wants: Vec<usize> = (0..10).map(|i| if i == 4 { 0 } else { 3 + i % 4 }).collect();
         let excluded: HashSet<u32> = [5, 90, 311].into_iter().collect();
 
+        // Reference: serial single-rect queries, then serial selection on
+        // the same pre-split streams `select_batch_streams` hands out.
         let mut serial = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-        let mut rng_s = Xoshiro256pp::seed_from_u64(42);
-        let want: Vec<Vec<Sample>> = requests
+        let outputs: Vec<QueryOutput> = rects
             .iter()
-            .map(|q| serial.sample_in_excluding(&q.rect, q.n, &mut rng_s, &excluded))
+            .map(|r| QueryOutput {
+                indices: serial.query_in(r),
+                examined: 0,
+            })
+            .collect();
+        let mut rng_s = Xoshiro256pp::seed_from_u64(42);
+        let mut streams = rng_s.split_streams(wants.iter().filter(|&&w| w > 0).count());
+        let mut next = 0;
+        let want: Vec<Vec<Sample>> = outputs
+            .iter()
+            .zip(&wants)
+            .map(|(out, &n)| {
+                if n == 0 {
+                    return Vec::new();
+                }
+                next += 1;
+                serial.select_excluding(out, n, &mut streams[next - 1], &excluded)
+            })
             .collect();
 
         for threads in [1, 4] {
             let mut batch = ExtractionEngine::new(view.clone(), IndexKind::Grid);
             batch.set_pool(Pool::new(threads));
             let mut rng_b = Xoshiro256pp::seed_from_u64(42);
-            let got = batch.sample_batch(&requests, &mut rng_b, &excluded);
+            let outs = batch.query_batch_outputs(&rects);
+            let got = batch.select_batch_streams(&outs, &wants, &mut rng_b, &excluded);
             assert_eq!(got, want, "{threads} threads");
-            // The caller RNG ends in the same state as after the serial loop.
+            for ((rect, &n), samples) in rects.iter().zip(&wants).zip(&got) {
+                assert!(samples.len() <= n);
+                assert!(samples.iter().all(|s| rect.contains(&s.point)));
+                assert!(samples.iter().all(|s| !excluded.contains(&s.row_id)));
+            }
+            // The caller RNG advanced by exactly the split, like the reference.
             assert_eq!(rng_b.next_u64(), rng_s.clone().next_u64(), "{threads} threads");
             assert_eq!(batch.stats().queries, serial.stats().queries);
         }
-    }
-
-    #[test]
-    fn sample_batch_streams_is_thread_count_independent() {
-        let view = grid_view(20);
-        let requests: Vec<SampleRequest> = (0..8)
-            .map(|i| {
-                let lo = (i * 9 % 40) as f64;
-                SampleRequest::new(Rect::new(vec![lo, lo], vec![lo + 30.0, lo + 30.0]), 4)
-            })
-            .collect();
-        let excluded = HashSet::new();
-        let mut runs = Vec::new();
-        for threads in [1, 4] {
-            let mut engine = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-            engine.set_pool(Pool::new(threads));
-            let mut rng = Xoshiro256pp::seed_from_u64(9);
-            let got = engine.sample_batch_streams(&requests, &mut rng, &excluded);
-            for (q, samples) in requests.iter().zip(&got) {
-                assert!(samples.len() <= q.n);
-                assert!(samples.iter().all(|s| q.rect.contains(&s.point)));
-            }
-            runs.push(got);
-        }
-        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]
@@ -1547,15 +1018,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "monolithic engine")]
-    fn sharded_engines_refuse_a_shared_cache() {
-        let view = grid_view(10);
-        let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
-        engine.set_shards(2);
-        engine.set_shared_cache(SharedRegionCache::new());
-    }
-
-    #[test]
     fn scan_examines_more_than_grid_for_small_rects() {
         let view = grid_view(50);
         let rect = Rect::new(vec![10.0, 10.0], vec![14.0, 14.0]);
@@ -1574,11 +1036,6 @@ mod tests {
         let out = engine.sample_in(&Rect::full_domain(2), 0, &mut rng);
         assert!(out.is_empty());
         assert_eq!(engine.stats().queries, 0);
-        // Same for a batch of only-zero requests.
-        let reqs = vec![SampleRequest::new(Rect::full_domain(2), 0)];
-        let out = engine.sample_batch(&reqs, &mut rng, &HashSet::new());
-        assert_eq!(out, vec![Vec::new()]);
-        assert_eq!(engine.stats().queries, 0);
     }
 
     #[test]
@@ -1587,158 +1044,5 @@ mod tests {
         let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
         let d = engine.density(&Rect::full_domain(2));
         assert!((d - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sharded_engine_matches_monolithic_for_every_kind() {
-        let view = grid_view(25);
-        let mut rects: Vec<Rect> = (0..10)
-            .map(|i| {
-                let lo = (i * 7 % 50) as f64;
-                Rect::new(vec![lo, lo / 2.0], vec![lo + 23.0, lo / 2.0 + 31.0])
-            })
-            .collect();
-        rects.push(rects[2].clone()); // within-batch duplicate
-        let requests: Vec<SampleRequest> = rects
-            .iter()
-            .enumerate()
-            .map(|(i, r)| SampleRequest::new(r.clone(), if i == 5 { 0 } else { 3 + i % 4 }))
-            .collect();
-        let excluded: HashSet<u32> = [7, 42, 300].into_iter().collect();
-
-        for kind in [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ] {
-            let mut mono = ExtractionEngine::new(view.clone(), kind);
-            let want_queries = mono.query_batch(&rects);
-            let want_counts = mono.count_batch(&rects);
-            let mut rng_m = Xoshiro256pp::seed_from_u64(5);
-            let want_samples = mono.sample_batch(&requests, &mut rng_m, &excluded);
-            let want = mono.stats();
-
-            for n_shards in [2usize, 3, 4] {
-                for threads in [1, 4] {
-                    let mut sharded = ExtractionEngine::new(view.clone(), kind);
-                    sharded.set_pool(Pool::new(threads));
-                    sharded.set_shards(n_shards);
-                    assert_eq!(sharded.shard_count(), n_shards);
-                    let tag = format!("{kind:?}, {n_shards} shards, {threads} threads");
-                    assert_eq!(sharded.query_batch(&rects), want_queries, "{tag}");
-                    assert_eq!(sharded.count_batch(&rects), want_counts, "{tag}");
-                    let mut rng_s = Xoshiro256pp::seed_from_u64(5);
-                    assert_eq!(
-                        sharded.sample_batch(&requests, &mut rng_s, &excluded),
-                        want_samples,
-                        "{tag}"
-                    );
-                    // Same caller-RNG end state as the monolithic run.
-                    assert_eq!(rng_s.next_u64(), rng_m.clone().next_u64(), "{tag}");
-                    let got = sharded.stats();
-                    assert_eq!(got.queries, want.queries, "{tag}");
-                    assert_eq!(got.tuples_returned, want.tuples_returned, "{tag}");
-                    assert_eq!(got.cache_hits, want.cache_hits, "{tag}");
-                    assert_eq!(got.cache_misses, want.cache_misses, "{tag}");
-                    if matches!(kind, IndexKind::Grid | IndexKind::Scan) {
-                        // Grid partials and scans partition their work
-                        // exactly; tree-shaped paths may prune differently
-                        // per shard (documented), so examined is kind-bound.
-                        assert_eq!(got.tuples_examined, want.tuples_examined, "{tag}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_single_query_path_matches_monolithic_including_cache_hits() {
-        let view = grid_view(20);
-        let rect = Rect::new(vec![5.0, 10.0], vec![60.0, 55.0]);
-        let mut mono = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-        let mut sharded = ExtractionEngine::new(view, IndexKind::Grid);
-        sharded.set_shards(3);
-        let mut rng_m = Xoshiro256pp::seed_from_u64(11);
-        let mut rng_s = Xoshiro256pp::seed_from_u64(11);
-        let excluded: HashSet<u32> = [3, 150].into_iter().collect();
-        for round in 0..2 {
-            assert_eq!(sharded.query_in(&rect), mono.query_in(&rect), "{round}");
-            assert_eq!(sharded.count_in(&rect), mono.count_in(&rect), "{round}");
-            assert_eq!(
-                sharded.sample_in_excluding(&rect, 5, &mut rng_s, &excluded),
-                mono.sample_in_excluding(&rect, 5, &mut rng_m, &excluded),
-                "{round}"
-            );
-        }
-        let (got, want) = (sharded.stats(), mono.stats());
-        assert_eq!(got.queries, want.queries);
-        assert_eq!(got.cache_hits, want.cache_hits);
-        assert_eq!(got.cache_misses, want.cache_misses);
-        assert_eq!(got.tuples_examined, want.tuples_examined);
-        assert_eq!(sharded.cached_regions(), mono.cached_regions());
-    }
-
-    #[test]
-    fn set_shards_one_restores_the_monolithic_path() {
-        let view = grid_view(15);
-        let rect = Rect::new(vec![0.0, 0.0], vec![45.0, 45.0]);
-        let mut engine = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-        let want = ExtractionEngine::new(view, IndexKind::Grid).query_in(&rect);
-        engine.set_shards(4);
-        assert_eq!(engine.shard_count(), 4);
-        engine.set_shards(1);
-        assert_eq!(engine.shard_count(), 1);
-        assert_eq!(engine.query_in(&rect), want);
-    }
-
-    #[test]
-    fn resolve_shards_auto_follows_the_pool() {
-        if std::env::var("AIDE_SHARDS").is_ok() {
-            return; // the environment override beats everything, by design
-        }
-        assert_eq!(ExtractionEngine::resolve_shards(0, &Pool::new(4)), 4);
-        assert_eq!(ExtractionEngine::resolve_shards(3, &Pool::new(4)), 3);
-        assert_eq!(ExtractionEngine::resolve_shards(0, &Pool::serial()), 1);
-    }
-
-    #[test]
-    fn sharded_batches_report_per_shard_examined_deltas() {
-        use aide_util::trace::{Tracer, Value};
-        let view = grid_view(10); // 100 points -> shard lens 33/33/34
-        let mut engine = ExtractionEngine::new(view, IndexKind::Scan);
-        engine.set_shards(3);
-        let tracer = Tracer::ring(64);
-        engine.set_tracer(tracer.clone());
-        engine.query_batch(&[Rect::full_domain(2)]);
-        engine.query_batch(&[Rect::full_domain(2)]); // all-shard cache hit
-        let events = tracer.drain();
-        assert_eq!(events.len(), 2);
-        let shard_field = |e: &aide_util::trace::Event| {
-            e.fields
-                .iter()
-                .find(|(n, _)| *n == "shard_examined")
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(
-            shard_field(&events[0]),
-            Some(Value::U64s(vec![33, 33, 34])),
-            "a scan examines each shard fully"
-        );
-        assert_eq!(
-            shard_field(&events[1]),
-            Some(Value::U64s(vec![0, 0, 0])),
-            "a cache hit examines nothing anywhere"
-        );
-        // The stripped stream carries no shard detail at all.
-        for e in &events {
-            assert!(!e.to_jsonl(true).contains("shard"));
-        }
-        // An unsharded engine's waves omit the field entirely.
-        let mut mono = ExtractionEngine::new(grid_view(10), IndexKind::Scan);
-        mono.set_tracer(tracer.clone());
-        mono.query_batch(&[Rect::full_domain(2)]);
-        let events = tracer.drain();
-        assert_eq!(shard_field(&events[0]), None);
     }
 }

@@ -19,11 +19,6 @@ pub struct GridIndex {
     dims: usize,
     resolution: usize,
     cells: Vec<Vec<u32>>,
-    /// Whether [`RegionIndex::query`] records one run per visited cell in
-    /// [`QueryOutput::runs`]. Off for plain builds (zero overhead); on for
-    /// shard builds, where the aligned runs are what lets the sharded
-    /// engine interleave per-shard results back into cell-major order.
-    record_runs: bool,
 }
 
 impl GridIndex {
@@ -59,24 +54,11 @@ impl GridIndex {
     /// The per-dimension resolution [`GridIndex::build`] picks for a view
     /// of `len` points in `dims` dimensions: roughly `len^(1/dims)`
     /// buckets, clamped to `[2, 64]` (the total-cell cap is applied later
-    /// and depends only on `dims`). Split out so a *shard* index can be
-    /// built at the resolution the full view implies — shard grids must
-    /// share the monolithic bucket layout for their query results to merge
-    /// into the monolithic output.
-    pub fn heuristic_resolution(len: usize, dims: usize) -> usize {
+    /// and depends only on `dims`).
+    fn heuristic_resolution(len: usize, dims: usize) -> usize {
         let n = len.max(1) as f64;
         let target = n.powf(1.0 / dims.max(1) as f64).ceil() as usize;
         target.clamp(2, 64)
-    }
-
-    /// Builds a shard's grid: an explicit `resolution` (the full view's
-    /// [`GridIndex::heuristic_resolution`], so every shard shares the
-    /// monolithic bucket layout) and per-cell run recording switched on
-    /// (see [`QueryOutput::runs`]).
-    pub fn build_shard(view: &NumericView, resolution: usize, pool: &Pool) -> Self {
-        let mut index = Self::with_resolution_in(view, resolution, pool);
-        index.record_runs = true;
-        index
     }
 
     /// Builds a grid index with an explicit per-dimension resolution.
@@ -115,7 +97,6 @@ impl GridIndex {
             dims,
             resolution,
             cells,
-            record_runs: false,
         }
     }
 
@@ -166,7 +147,6 @@ impl RegionIndex for GridIndex {
             .collect();
         let mut indices = Vec::new();
         let mut examined = 0usize;
-        let mut runs = Vec::new();
         // Iterate the cross product of overlapping bucket ranges.
         let mut buckets: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
         loop {
@@ -175,7 +155,6 @@ impl RegionIndex for GridIndex {
                 .iter()
                 .fold(0usize, |acc, &b| acc * self.resolution + b);
             let cell = &self.cells[flat];
-            let before = indices.len();
             if !cell.is_empty() {
                 // Cells fully covered by the query need no per-point test.
                 let fully_inside = (0..self.dims)
@@ -184,26 +163,15 @@ impl RegionIndex for GridIndex {
                     indices.extend_from_slice(cell);
                 } else {
                     examined += cell.len();
-                    // Kernel sweep preserves the cell's bucket order, which
-                    // is what the sharded run-interleave merge relies on.
+                    // Kernel sweep preserves the cell's bucket order.
                     view.filter_indices_into(rect, cell, &mut indices);
                 }
-            }
-            if self.record_runs {
-                // One run per visited cell, zero-length runs included: shard
-                // grids share bucket layout, so runs align index-for-index
-                // across shards and interleave back into cell-major order.
-                runs.push((indices.len() - before) as u32);
             }
             // Advance the odometer over bucket combinations.
             let mut d = self.dims;
             loop {
                 if d == 0 {
-                    return QueryOutput {
-                        indices,
-                        examined,
-                        runs,
-                    };
+                    return QueryOutput { indices, examined };
                 }
                 d -= 1;
                 if buckets[d] < ranges[d].1 {
@@ -371,51 +339,6 @@ mod tests {
         for threads in [2, 4] {
             let par = GridIndex::build_with(&view, &Pool::new(threads));
             assert_eq!(serial, par, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn shard_runs_interleave_to_the_monolithic_order() {
-        let view = uniform_view(4_000, 2, 8);
-        let resolution = GridIndex::heuristic_resolution(view.len(), view.dims());
-        let mono = GridIndex::with_resolution(&view, resolution);
-        let pool = Pool::serial();
-        for n_shards in [1usize, 2, 3, 4] {
-            let shard_views = view.partition(n_shards);
-            let parts: Vec<(usize, QueryOutput)> = shard_views
-                .iter()
-                .enumerate()
-                .map(|(s, sv)| {
-                    let (start, _) = NumericView::shard_bounds(view.len(), n_shards, s);
-                    (start, GridIndex::build_shard(sv, resolution, &pool).query(sv, &rect()))
-                })
-                .collect();
-            // Every shard visits the same cells, so runs align one-to-one.
-            let n_runs = parts[0].1.runs.len();
-            for (_, p) in &parts {
-                assert_eq!(p.runs.len(), n_runs);
-                assert_eq!(p.runs.iter().map(|&r| r as usize).sum::<usize>(), p.indices.len());
-            }
-            // Interleave run-by-run in shard order, offsetting into the
-            // full view's index space.
-            let mut merged: Vec<u32> = Vec::new();
-            let mut cursors = vec![0usize; parts.len()];
-            for run in 0..n_runs {
-                for (s, (offset, p)) in parts.iter().enumerate() {
-                    let len = p.runs[run] as usize;
-                    let seg = &p.indices[cursors[s]..cursors[s] + len];
-                    merged.extend(seg.iter().map(|&i| i + *offset as u32));
-                    cursors[s] += len;
-                }
-            }
-            let want = mono.query(&view, &rect());
-            assert_eq!(merged, want.indices, "{n_shards} shards");
-            let examined: usize = parts.iter().map(|(_, p)| p.examined).sum();
-            assert_eq!(examined, want.examined, "{n_shards} shards");
-        }
-
-        fn rect() -> Rect {
-            Rect::new(vec![15.0, 10.0], vec![70.0, 85.0])
         }
     }
 }

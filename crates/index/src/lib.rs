@@ -7,13 +7,11 @@
 //! crate provides the equivalent access paths over a normalized
 //! [`NumericView`](aide_data::NumericView):
 //!
-//! * [`GridIndex`] — equi-width multidimensional bucketing (the workhorse;
-//!   plays the covering index's role);
-//! * [`KdTree`] — a median-split k-d tree alternative;
-//! * [`SortedIndex`] — per-attribute sorted lists with residual filtering
-//!   (the single-column-index plan a DBMS would pick);
+//! * [`GridIndex`] — equi-width multidimensional bucketing (the one
+//!   production access path; plays the covering index's role);
 //! * [`ScanIndex`] — a deliberate full-scan path modelling the expensive
-//!   whole-domain sampling queries of paper §5.2;
+//!   whole-domain sampling queries of paper §5.2, and the reference the
+//!   grid is checked against;
 //! * [`ExtractionEngine`] — the façade the framework talks to, with
 //!   per-session counters for extraction queries, tuples examined and
 //!   wall-clock time (the paper's "sample extraction time").
@@ -23,16 +21,12 @@
 pub mod cache;
 pub mod engine;
 pub mod grid;
-pub mod kdtree;
 pub mod scan;
-pub mod sorted;
 
 pub use cache::{CacheStats, RegionCache, SharedRegionCache};
-pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample, SampleRequest};
+pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use scan::ScanIndex;
-pub use sorted::SortedIndex;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
@@ -45,20 +39,12 @@ pub struct QueryOutput {
     /// View indices of points inside the query rectangle.
     ///
     /// Order is part of each access path's contract (sample selection maps
-    /// RNG draws onto positions in this list): [`ScanIndex`], [`KdTree`]
-    /// and [`SortedIndex`] return ascending view order; [`GridIndex`]
-    /// returns cell-major visit order (ascending within each cell).
+    /// RNG draws onto positions in this list): [`ScanIndex`] returns
+    /// ascending view order; [`GridIndex`] returns cell-major visit order
+    /// (ascending within each cell).
     pub indices: Vec<u32>,
     /// Points whose coordinates were compared against the rectangle.
     pub examined: usize,
-    /// Optional segmentation of `indices` in canonical visit order, used
-    /// by the sharded engine to interleave per-shard results back into the
-    /// monolithic order. Empty (the default, and the only form plain
-    /// builds produce) means "one segment"; a grid index built for a shard
-    /// records one run per visited cell — including zero-length runs for
-    /// cells the shard happens to leave empty — so aligned runs across
-    /// shards reconstruct the unsharded cell-major order exactly.
-    pub runs: Vec<u32>,
 }
 
 /// Result of a counting query: how many points match plus how many were

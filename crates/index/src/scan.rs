@@ -3,8 +3,8 @@
 //! Models the expensive sample-extraction queries of paper §5.2: sampling
 //! "across the whole domain of each attribute" forces the database to read
 //! the entire covering index. Benchmarks contrast this path against
-//! [`GridIndex`](crate::GridIndex) / [`KdTree`](crate::KdTree) to reproduce
-//! the paper's extraction-cost observations.
+//! [`GridIndex`](crate::GridIndex) to reproduce the paper's
+//! extraction-cost observations.
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
@@ -32,7 +32,6 @@ impl RegionIndex for ScanIndex {
         QueryOutput {
             indices,
             examined: view.len(),
-            runs: Vec::new(),
         }
     }
 

@@ -3,13 +3,11 @@
 //! running on the hermetic `aide-testkit` harness.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use aide_data::view::{Domain, SpaceMapper};
 use aide_data::NumericView;
-use aide_index::{
-    ExtractionEngine, GridIndex, IndexKind, KdTree, RegionIndex, SampleRequest, ScanIndex,
-    SortedIndex,
-};
+use aide_index::{ExtractionEngine, GridIndex, IndexKind, QueryOutput, RegionIndex, ScanIndex};
 use aide_testkit::prop::gen;
 use aide_testkit::{forall, prop_assert, prop_assert_eq};
 use aide_util::geom::Rect;
@@ -64,10 +62,8 @@ forall! {
         expected.sort_unstable();
 
         let grid = GridIndex::build(&view);
-        let kd = KdTree::build(&view);
-        let sorted = SortedIndex::build(&view);
         let scan = ScanIndex::new();
-        let paths: [&dyn RegionIndex; 4] = [&grid, &kd, &sorted, &scan];
+        let paths: [&dyn RegionIndex; 2] = [&grid, &scan];
         for path in paths {
             let mut got = path.query(&view, &rect).indices;
             got.sort_unstable();
@@ -97,10 +93,11 @@ forall! {
 
     /// The batched, cached engine is indistinguishable from a fresh
     /// serial engine: for an arbitrary rect set, sample sizes, seed and
-    /// thread count, `sample_batch`/`count_batch` return bit-identical
-    /// samples and counts — and leave the RNG in the same state — as a
-    /// plain serial loop on an engine with no cache, across all four
-    /// access paths. A second, fully warm batch must agree too.
+    /// thread count, `query_batch_outputs` + `select_batch_streams` and
+    /// `count_batch` return bit-identical samples and counts — and leave
+    /// the RNG in the same state — as serial `query_in` results on an
+    /// engine with no cache, selected on the same pre-split streams, for
+    /// both access paths. A second, fully warm batch must agree too.
     fn batched_cached_engine_matches_fresh_serial_engine(
         points in points_gen(),
         all_corners in gen::vec_of(rect_corners(), 0..6),
@@ -109,36 +106,32 @@ forall! {
         threads in gen::usize_in(1..5),
     ) {
         let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
+        let wants: Vec<usize> = (0..rects.len()).map(|i| (n + i) % 20).collect();
         let excluded = HashSet::new();
-        let kinds = [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ];
-        for kind in kinds {
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
             // Reference: cache off, serial pool, one query per call.
             let mut serial = ExtractionEngine::new(view_from(&points), kind);
             serial.set_pool(Pool::serial());
             serial.set_cache_enabled(false);
-            let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
-            let expected: Vec<_> = rects
+            let outputs: Vec<Arc<QueryOutput>> = rects
                 .iter()
-                .enumerate()
-                .map(|(i, r)| serial.sample_in_excluding(r, (n + i) % 20, &mut rng_s, &excluded))
+                .map(|r| {
+                    Arc::new(QueryOutput {
+                        indices: serial.query_in(r),
+                        examined: 0,
+                    })
+                })
                 .collect();
+            let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
+            let expected = serial.select_batch_streams(&outputs, &wants, &mut rng_s, &excluded);
             let expected_counts: Vec<usize> = rects.iter().map(|r| serial.count_in(r)).collect();
 
             // Subject: cache on (default), explicit multi-thread pool.
             let mut batched = ExtractionEngine::new(view_from(&points), kind);
             batched.set_pool(Pool::new(threads));
-            let requests: Vec<SampleRequest> = rects
-                .iter()
-                .enumerate()
-                .map(|(i, r)| SampleRequest::new(r.clone(), (n + i) % 20))
-                .collect();
             let mut rng_b = Xoshiro256pp::seed_from_u64(seed);
-            let got = batched.sample_batch(&requests, &mut rng_b, &excluded);
+            let outs = batched.query_batch_outputs(&rects);
+            let got = batched.select_batch_streams(&outs, &wants, &mut rng_b, &excluded);
             prop_assert_eq!(&got, &expected, "samples diverge on {:?} t{}", kind, threads);
             prop_assert_eq!(
                 rng_b.next_u64(),
@@ -150,17 +143,18 @@ forall! {
 
             // Warm re-run: every answer now comes from the cache.
             let mut rng_w = Xoshiro256pp::seed_from_u64(seed);
-            let warm = batched.sample_batch(&requests, &mut rng_w, &excluded);
+            let outs = batched.query_batch_outputs(&rects);
+            let warm = batched.select_batch_streams(&outs, &wants, &mut rng_w, &excluded);
             prop_assert_eq!(&warm, &expected, "warm cache diverges on {:?}", kind);
         }
     }
 
-    /// `sample_batch_streams` is nothing more than serial selection on
+    /// `select_batch_streams` is nothing more than serial selection on
     /// pre-split RNG streams: for any rect set, sizes, seed, index kind
     /// and thread count, it returns exactly what a serial loop returns
     /// when each active request (n > 0) samples with its own stream from
     /// `split_streams`, and it advances the parent RNG identically.
-    fn sample_batch_streams_match_serial_selection_on_presplit_rngs(
+    fn select_batch_streams_match_serial_selection_on_presplit_rngs(
         points in points_gen(),
         all_corners in gen::vec_of(rect_corners(), 0..6),
         n in gen::usize_in(0..20),
@@ -168,99 +162,33 @@ forall! {
         threads in gen::usize_in(1..5),
     ) {
         let excluded = HashSet::new();
-        let requests: Vec<SampleRequest> = all_corners
-            .iter()
-            .enumerate()
-            .map(|(i, c)| SampleRequest::new(rect_from(c), (n + i) % 20))
-            .collect();
-        let kinds = [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ];
-        for kind in kinds {
+        let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
+        let wants: Vec<usize> = (0..rects.len()).map(|i| (n + i) % 20).collect();
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
             // Reference: split the parent by hand, then sample each
             // active request serially with its own stream.
             let mut serial = ExtractionEngine::new(view_from(&points), kind);
             serial.set_pool(Pool::serial());
             serial.set_cache_enabled(false);
             let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
-            let active: Vec<usize> =
-                (0..requests.len()).filter(|&i| requests[i].n > 0).collect();
+            let active: Vec<usize> = (0..wants.len()).filter(|&i| wants[i] > 0).collect();
             let mut streams = rng_s.split_streams(active.len());
-            let mut expected: Vec<Vec<_>> = vec![Vec::new(); requests.len()];
+            let mut expected: Vec<Vec<_>> = vec![Vec::new(); wants.len()];
             for (k, &i) in active.iter().enumerate() {
-                expected[i] = serial.sample_in_excluding(
-                    &requests[i].rect,
-                    requests[i].n,
-                    &mut streams[k],
-                    &excluded,
-                );
+                expected[i] =
+                    serial.sample_in_excluding(&rects[i], wants[i], &mut streams[k], &excluded);
             }
 
             let mut batched = ExtractionEngine::new(view_from(&points), kind);
             batched.set_pool(Pool::new(threads));
             let mut rng_b = Xoshiro256pp::seed_from_u64(seed);
-            let got = batched.sample_batch_streams(&requests, &mut rng_b, &excluded);
+            let outs = batched.query_batch_outputs(&rects);
+            let got = batched.select_batch_streams(&outs, &wants, &mut rng_b, &excluded);
             prop_assert_eq!(&got, &expected, "streams diverge on {:?} t{}", kind, threads);
             prop_assert_eq!(
                 rng_b.next_u64(),
                 rng_s.next_u64(),
                 "parent RNG diverges on {:?} t{}", kind, threads
-            );
-        }
-    }
-
-    /// A sharded engine is observationally identical to the monolithic
-    /// one: samples, counts and the caller's RNG stream are bit-equal for
-    /// any index kind, shard count and thread count.
-    fn sharded_engine_is_bit_identical_to_monolithic(
-        points in points_gen(),
-        all_corners in gen::vec_of(rect_corners(), 0..6),
-        n in gen::usize_in(0..20),
-        seed in gen::any_u64(),
-        shards in gen::usize_in(2..6),
-        threads in gen::usize_in(1..5),
-    ) {
-        let excluded = HashSet::new();
-        let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
-        let requests: Vec<SampleRequest> = rects
-            .iter()
-            .enumerate()
-            .map(|(i, r)| SampleRequest::new(r.clone(), (n + i) % 20))
-            .collect();
-        let kinds = [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ];
-        for kind in kinds {
-            let mut mono = ExtractionEngine::new(view_from(&points), kind);
-            mono.set_pool(Pool::serial());
-            let mut rng_m = Xoshiro256pp::seed_from_u64(seed);
-            let expected = mono.sample_batch(&requests, &mut rng_m, &excluded);
-            let expected_counts = mono.count_batch(&rects);
-
-            let mut sharded = ExtractionEngine::new(view_from(&points), kind);
-            sharded.set_pool(Pool::new(threads));
-            sharded.set_shards(shards);
-            let mut rng_h = Xoshiro256pp::seed_from_u64(seed);
-            let got = sharded.sample_batch(&requests, &mut rng_h, &excluded);
-            prop_assert_eq!(
-                &got, &expected,
-                "samples diverge on {:?} s{} t{}", kind, shards, threads
-            );
-            prop_assert_eq!(
-                rng_h.next_u64(),
-                rng_m.next_u64(),
-                "RNG diverges on {:?} s{} t{}", kind, shards, threads
-            );
-            let counts = sharded.count_batch(&rects);
-            prop_assert_eq!(
-                &counts, &expected_counts,
-                "counts diverge on {:?} s{}", kind, shards
             );
         }
     }
@@ -272,7 +200,7 @@ forall! {
     ) {
         let view = view_from(&points);
         let rect = rect_from(&corners);
-        let mut engine = ExtractionEngine::new(view, IndexKind::KdTree);
+        let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let first = engine.sample_in(&rect, 10, &mut rng);
         let excluded: HashSet<u32> = first.iter().map(|s| s.row_id).collect();
@@ -283,8 +211,8 @@ forall! {
     }
 
     /// The columnar containment kernel is the row-major filter, bit for
-    /// bit: for arbitrary dimensionality, data, rectangle, shard count
-    /// and thread count, `scan_rect_into`/`count_rect`/the order-
+    /// bit: for arbitrary dimensionality, data, rectangle and thread
+    /// count, `scan_rect_into`/`count_rect`/the order-
     /// preserving candidate filter — and every engine access path built
     /// on them — agree with an explicit row-major `Rect::contains` loop
     /// over the original flat array.
@@ -292,7 +220,6 @@ forall! {
         raw in gen::vec_of(gen::f64_in(0.0..100.0), 0..600),
         corners_raw in gen::vec_of(gen::f64_in(0.0..100.0), 8..9),
         dims in gen::usize_in(1..5),
-        shards in gen::usize_in(1..5),
         threads in gen::usize_in(1..5),
     ) {
         let n = raw.len() / dims;
@@ -337,46 +264,30 @@ forall! {
         prop_assert_eq!(&filtered, &expected_rev, "candidate order");
         prop_assert_eq!(view.count_indices(&rect, &reversed), expected.len());
 
-        // Every access path (sharded or not, any thread count) agrees.
-        let kinds = [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ];
-        for kind in kinds {
+        // Every access path (any thread count) agrees.
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
             let mut engine = ExtractionEngine::new(make_view(), kind);
             engine.set_pool(Pool::new(threads));
-            if shards > 1 {
-                engine.set_shards(shards);
-            }
             prop_assert_eq!(
                 engine.count_in(&rect),
                 expected.len(),
-                "engine {:?} s{} t{}", kind, shards, threads
+                "engine {:?} t{}", kind, threads
             );
         }
     }
 
     /// Growing an engine with `append_rows` is observationally identical
-    /// to building a fresh engine over the concatenated data — for every
-    /// index kind, shard count and thread count, and regardless of how
-    /// the rows are split between the initial build and the append.
-    ///
-    /// Scan/kd/sorted emit in ascending view order, so their samples are
-    /// bit-identical to the fresh engine's. A sharded grid keeps the
-    /// bucket resolution frozen at `set_shards` time, so after an append
-    /// its (deterministic, self-consistent) candidate order can differ
-    /// from a fresh engine whose resolution saw the grown length — the
-    /// extracted *set* must still match, which exhausting the rectangle
-    /// (`n = len`) checks exactly.
+    /// to building a fresh engine over the concatenated data — for both
+    /// access paths and any thread count, and regardless of how the rows
+    /// are split between the initial build and the append. Counts and
+    /// samples are bit-identical: the append rebuilds the whole index (at
+    /// the grown view's grid resolution) and drops the stale cache.
     fn appended_engine_matches_fresh_engine(
         points in points_gen(),
         extra in points_gen(),
         all_corners in gen::vec_of(rect_corners(), 0..4),
         n in gen::usize_in(0..20),
         seed in gen::any_u64(),
-        shards in gen::usize_in(1..5),
         threads in gen::usize_in(1..5),
     ) {
         let mut all = points.clone();
@@ -384,22 +295,13 @@ forall! {
         let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
         let appended_data: Vec<f64> = extra.iter().flat_map(|&(x, y)| [x, y]).collect();
         let appended_ids: Vec<u32> = (points.len()..all.len()).map(|i| i as u32).collect();
-        let kinds = [
-            IndexKind::Grid,
-            IndexKind::KdTree,
-            IndexKind::Sorted,
-            IndexKind::Scan,
-        ];
-        for kind in kinds {
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
             let mut fresh = ExtractionEngine::new(view_from(&all), kind);
             fresh.set_pool(Pool::serial());
 
             let mut grown = ExtractionEngine::new(view_from(&points), kind);
             grown.set_pool(Pool::new(threads));
-            if shards > 1 {
-                grown.set_shards(shards);
-            }
-            // Warm the caches pre-append: stale hits would show up below.
+            // Warm the cache pre-append: stale hits would show up below.
             for rect in &rects {
                 let _ = grown.count_in(rect);
             }
@@ -411,112 +313,14 @@ forall! {
                 prop_assert_eq!(
                     grown.count_in(rect),
                     fresh.count_in(rect),
-                    "count diverges on {:?} s{} t{}", kind, shards, threads
+                    "count diverges on {:?} t{}", kind, threads
                 );
-                if matches!(kind, IndexKind::Grid) && shards > 1 {
-                    // Set equality via exhaustive sampling (see above).
-                    let mut got: Vec<u32> = grown
-                        .sample_in(rect, all.len(), &mut rng_g)
-                        .iter()
-                        .map(|s| s.row_id)
-                        .collect();
-                    let mut want: Vec<u32> = fresh
-                        .sample_in(rect, all.len(), &mut rng_f)
-                        .iter()
-                        .map(|s| s.row_id)
-                        .collect();
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    prop_assert_eq!(
-                        &got, &want,
-                        "grid sets diverge s{} t{}", shards, threads
-                    );
-                } else {
-                    prop_assert_eq!(
-                        grown.sample_in(rect, n, &mut rng_g),
-                        fresh.sample_in(rect, n, &mut rng_f),
-                        "samples diverge on {:?} s{} t{}", kind, shards, threads
-                    );
-                }
+                prop_assert_eq!(
+                    grown.sample_in(rect, n, &mut rng_g),
+                    fresh.sample_in(rect, n, &mut rng_f),
+                    "samples diverge on {:?} t{}", kind, threads
+                );
             }
         }
-    }
-}
-
-/// `append_rows` on a sharded engine rebuilds only the tail shard: peer
-/// shards keep their indexes, cache entries and hit/miss counters.
-#[test]
-fn append_rebuilds_only_the_tail_shard() {
-    let mut rng = Xoshiro256pp::seed_from_u64(42);
-    let points: Vec<(f64, f64)> = (0..600)
-        .map(|_| (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)))
-        .collect();
-    let mut engine = ExtractionEngine::new(view_from(&points), IndexKind::Grid);
-    engine.set_shards(3);
-    let rect = Rect::new(vec![10.0, 10.0], vec![80.0, 80.0]);
-
-    let cold = engine.count_in(&rect); // every shard cache: one miss
-    assert_eq!(engine.count_in(&rect), cold); // every shard cache: one hit
-    let before = engine.shard_cache_stats();
-    assert_eq!(before.len(), 3);
-    for (s, stats) in before.iter().enumerate() {
-        assert_eq!((stats.hits, stats.misses), (1, 1), "shard {s} pre-append");
-    }
-
-    // Append one point that lands inside the rectangle.
-    engine.append_rows(&[50.0, 50.0], &[points.len() as u32]);
-    let after = engine.shard_cache_stats();
-    // Peer shards keep their counters (their caches were not rebuilt)…
-    assert_eq!(after[0], before[0], "peer shard 0 cache was disturbed");
-    assert_eq!(after[1], before[1], "peer shard 1 cache was disturbed");
-    // …while the tail shard starts cold.
-    assert_eq!((after[2].hits, after[2].misses), (0, 0), "tail not reset");
-
-    // The appended row is visible; a partially warm rectangle counts as
-    // a miss, re-queries every shard, and restores cache lockstep.
-    assert_eq!(engine.count_in(&rect), cold + 1);
-    let partial = engine.shard_cache_stats();
-    for (s, stats) in partial.iter().enumerate().take(2) {
-        assert_eq!((stats.hits, stats.misses), (2, 1), "peer shard {s}");
-    }
-    assert_eq!((partial[2].hits, partial[2].misses), (0, 1), "tail shard");
-    assert_eq!(engine.count_in(&rect), cold + 1); // fully warm again
-    let warm = engine.shard_cache_stats();
-    for (s, (w, p)) in warm.iter().zip(&partial).enumerate() {
-        assert_eq!(w.hits, p.hits + 1, "shard {s} missed after lockstep restore");
-        assert_eq!(w.misses, p.misses, "shard {s} re-queried after restore");
-    }
-}
-
-/// A monolithic engine grown by `append_rows` rebuilds its whole index —
-/// equivalent to a fresh engine over the extended view.
-#[test]
-fn monolithic_append_matches_fresh_engine() {
-    let mut rng = Xoshiro256pp::seed_from_u64(43);
-    let points: Vec<(f64, f64)> = (0..400)
-        .map(|_| (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)))
-        .collect();
-    let (head, tail) = points.split_at(300);
-    let rect = Rect::new(vec![20.0, 20.0], vec![70.0, 70.0]);
-    for kind in [
-        IndexKind::Grid,
-        IndexKind::KdTree,
-        IndexKind::Sorted,
-        IndexKind::Scan,
-    ] {
-        let mut fresh = ExtractionEngine::new(view_from(&points), kind);
-        let mut grown = ExtractionEngine::new(view_from(head), kind);
-        let _ = grown.count_in(&rect); // warm the soon-stale cache
-        let data: Vec<f64> = tail.iter().flat_map(|&(x, y)| [x, y]).collect();
-        let ids: Vec<u32> = (head.len()..points.len()).map(|i| i as u32).collect();
-        grown.append_rows(&data, &ids);
-        assert_eq!(grown.count_in(&rect), fresh.count_in(&rect), "{kind:?}");
-        let mut rng_f = Xoshiro256pp::seed_from_u64(7);
-        let mut rng_g = Xoshiro256pp::seed_from_u64(7);
-        assert_eq!(
-            grown.sample_in(&rect, 12, &mut rng_g),
-            fresh.sample_in(&rect, 12, &mut rng_f),
-            "{kind:?}"
-        );
     }
 }

@@ -117,11 +117,17 @@ impl Json {
         }
     }
 
-    /// The number as a `u64`, if it is one exactly (non-negative,
-    /// integral, within range — `18446744073709551615` is the max).
+    /// Largest integer [`Json::as_u64`] accepts: 2⁵³ − 1. Numbers parse
+    /// as `f64`, so above it distinct integers in the text can arrive as
+    /// the same (rounded) value.
+    const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+    /// The number as a `u64`, if it is one exactly: non-negative,
+    /// integral and at most 2⁵³ − 1. Larger values are refused rather
+    /// than silently rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= Self::MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -553,5 +559,15 @@ mod tests {
         assert_eq!(Json::parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        // 2^53 - 1 is the largest integer every f64 parse keeps exact…
+        assert_eq!(
+            Json::parse("9007199254740991").unwrap().as_u64(),
+            Some(Json::MAX_EXACT_INT)
+        );
+        // …above it, 2^53 + 1 parses as 2^53: both are refused, not rounded.
+        assert_eq!(Json::parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("18446744073709551615").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
     }
 }

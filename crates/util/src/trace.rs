@@ -16,12 +16,11 @@
 //!   every emission is a single `Option` branch. Session code never pays
 //!   for tracing it did not ask for (`substrate/trace` benches the pair).
 //! * **Content is deterministic.** Every field except the wall-clock ones
-//!   (`t_us` and any `*_us` duration) and the shard-layout ones (any
-//!   `shard*` field) is a pure function of the session's seed and
-//!   configuration — never of `AIDE_THREADS` or `AIDE_SHARDS`.
-//!   Serializing with [`strip_timing`](Event::to_jsonl) therefore yields
-//!   byte-identical output on 1 thread and 64, and on 1 shard and 8,
-//!   composing with the [`crate::par`] determinism contract.
+//!   (`t_us` and any `*_us` duration) is a pure function of the session's
+//!   seed and configuration — never of `AIDE_THREADS`. Serializing with
+//!   [`strip_timing`](Event::to_jsonl) therefore yields byte-identical
+//!   output on 1 thread and 64, composing with the [`crate::par`]
+//!   determinism contract.
 //!
 //! The full field-by-field schema lives in `ARCHITECTURE.md`; it is the
 //! normative reference for `scripts/trace_report.py`.
@@ -32,7 +31,7 @@
 //! let tracer = Tracer::ring(1024);
 //! tracer.begin_iteration(0);
 //! tracer.begin_phase("discovery");
-//! tracer.wave(4, 4, 0, 4, 1000, 12, &[], 250);
+//! tracer.wave(4, 4, 0, 4, 1000, 12, 250);
 //! tracer.emit_scoped("phase_end", vec![("samples", Value::from(12u64))]);
 //! let events = tracer.drain();
 //! assert_eq!(events.len(), 4);
@@ -71,9 +70,6 @@ pub enum Value {
     Str(String),
     /// Boolean flag (cache enabled…).
     Bool(bool),
-    /// Array of unsigned counters (per-shard wave deltas…); renders as a
-    /// JSON array of numbers.
-    U64s(Vec<u64>),
 }
 
 impl From<u64> for Value {
@@ -112,12 +108,6 @@ impl From<bool> for Value {
     }
 }
 
-impl From<Vec<u64>> for Value {
-    fn from(v: Vec<u64>) -> Self {
-        Value::U64s(v)
-    }
-}
-
 impl Value {
     fn write_json(&self, out: &mut String) {
         match self {
@@ -132,16 +122,6 @@ impl Value {
             }
             Value::Bool(b) => {
                 out.push_str(if *b { "true" } else { "false" });
-            }
-            Value::U64s(vs) => {
-                out.push('[');
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&v.to_string());
-                }
-                out.push(']');
             }
         }
     }
@@ -160,19 +140,17 @@ pub struct Event {
     /// Event kind tag — the `"k"` key of the JSONL object.
     pub kind: &'static str,
     /// Ordered `(name, value)` pairs; names ending in `_us` are wall-clock
-    /// durations and names starting with `shard` are shard-layout detail —
-    /// both are stripped alongside `t_us`.
+    /// durations, stripped alongside `t_us`.
     pub fields: Vec<(&'static str, Value)>,
 }
 
 impl Event {
     /// Serializes the event as one JSON object (no trailing newline).
     ///
-    /// With `strip_timing`, the `t_us` timestamp, every field whose name
-    /// ends in `_us` (wall clock) and every field whose name starts with
-    /// `shard` (per-shard breakdowns, the configured shard count) are
-    /// omitted — what remains is the deterministic content used by the
-    /// cross-thread-count and cross-shard-count fingerprint tests.
+    /// With `strip_timing`, the `t_us` timestamp and every field whose name
+    /// ends in `_us` (wall clock) are omitted — what remains is the
+    /// deterministic content used by the cross-thread-count fingerprint
+    /// tests.
     pub fn to_jsonl(&self, strip_timing: bool) -> String {
         let mut out = String::with_capacity(64);
         out.push_str("{\"k\":");
@@ -182,7 +160,7 @@ impl Event {
             out.push_str(&self.t_us.to_string());
         }
         for (name, value) in &self.fields {
-            if strip_timing && (name.ends_with("_us") || name.starts_with("shard")) {
+            if strip_timing && name.ends_with("_us") {
                 continue;
             }
             out.push(',');
@@ -385,11 +363,6 @@ impl Tracer {
     ///
     /// Called by the extraction engine's batch entry points; the counts
     /// are deltas for this wave alone, not running session totals.
-    /// `shard_examined` is the per-shard breakdown of `tuples_examined`
-    /// when the engine is sharded — empty slices (the unsharded case) omit
-    /// the field entirely, and a present field is stripped from
-    /// timing-stripped output by the `shard` prefix rule, so stripped
-    /// streams stay byte-identical across shard counts.
     #[allow(clippy::too_many_arguments)]
     pub fn wave(
         &self,
@@ -399,7 +372,6 @@ impl Tracer {
         cache_misses: u64,
         tuples_examined: u64,
         tuples_returned: u64,
-        shard_examined: &[u64],
         dur_us: u64,
     ) {
         self.with_state(|s| {
@@ -418,11 +390,8 @@ impl Tracer {
                 ("cache_misses", Value::U64(cache_misses)),
                 ("tuples_examined", Value::U64(tuples_examined)),
                 ("tuples_returned", Value::U64(tuples_returned)),
+                ("dur_us", Value::U64(dur_us)),
             ]);
-            if !shard_examined.is_empty() {
-                fields.push(("shard_examined", Value::U64s(shard_examined.to_vec())));
-            }
-            fields.push(("dur_us", Value::U64(dur_us)));
             s.push(Event {
                 t_us,
                 kind: "wave",
@@ -516,7 +485,7 @@ mod tests {
         let t = Tracer::disabled();
         t.emit("x", vec![("a", Value::from(1u64))]);
         t.begin_iteration(3);
-        t.wave(1, 1, 0, 1, 10, 2, &[], 5);
+        t.wave(1, 1, 0, 1, 10, 2, 5);
         assert!(!t.is_enabled());
         assert_eq!(t.drain(), vec![]);
         assert_eq!(t.dropped(), 0);
@@ -554,18 +523,10 @@ mod tests {
         let t = Tracer::ring(64);
         t.begin_iteration(7);
         t.begin_phase("boundary");
-        t.wave(2, 2, 1, 1, 100, 5, &[60, 40], 42);
-        t.wave(1, 1, 1, 0, 0, 3, &[], 17);
+        t.wave(2, 2, 1, 1, 100, 5, 42);
+        t.wave(1, 1, 1, 0, 0, 3, 17);
         t.end_phase(8, 3, 1234);
         let events = t.drain();
-        // The per-shard breakdown renders as a JSON array when kept…
-        assert!(
-            events[2]
-                .to_jsonl(false)
-                .contains(r#""shard_examined":[60,40]"#),
-            "unstripped wave keeps the per-shard array"
-        );
-        // …and the `shard` prefix rule strips it with the timing fields.
         assert_eq!(
             events[2].to_jsonl(true),
             r#"{"k":"wave","iter":7,"phase":"boundary","wave":0,"rects":2,"queries":2,"cache_hits":1,"cache_misses":1,"tuples_examined":100,"tuples_returned":5}"#
@@ -582,22 +543,20 @@ mod tests {
     }
 
     #[test]
-    fn strip_timing_removes_wall_clock_and_shard_fields_only() {
+    fn strip_timing_removes_wall_clock_fields_only() {
         let e = Event {
             t_us: 99,
             kind: "eval",
             fields: vec![
                 ("iter", Value::from(1u64)),
                 ("f", Value::from(0.5f64)),
-                ("shards", Value::from(4u64)),
-                ("shard_examined", Value::from(vec![3u64, 7])),
                 ("dur_us", Value::from(777u64)),
             ],
         };
         assert_eq!(e.to_jsonl(true), r#"{"k":"eval","iter":1,"f":0.5}"#);
         assert_eq!(
             e.to_jsonl(false),
-            r#"{"k":"eval","t_us":99,"iter":1,"f":0.5,"shards":4,"shard_examined":[3,7],"dur_us":777}"#
+            r#"{"k":"eval","t_us":99,"iter":1,"f":0.5,"dur_us":777}"#
         );
     }
 

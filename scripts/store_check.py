@@ -8,7 +8,7 @@ none of its code:
 
     magic      12 bytes  b"aide-view/1\\n"
     dims       u32 LE    1 ..= 1024
-    n          u64 LE    row count
+    n          u64 LE    row count, <= 2**32 - 1 (row ids are u32)
     per dim:   name_len u16 LE, name (UTF-8, <= 4096 bytes),
                lo f64 bit pattern (u64 LE), hi f64 bit pattern (u64 LE)
                -- bounds finite, lo <= hi
@@ -23,8 +23,8 @@ Self-test
 ---------
 
 ``--self-test`` builds a tiny valid file in memory plus corrupted
-variants (bad magic, zero dims, inverted domain, NaN bound, truncated
-lane, trailing garbage) and asserts the checker accepts exactly the
+variants (bad magic, zero dims, inverted domain, NaN bound, row count
+beyond the u32 row-id range, truncated lane, trailing garbage) and asserts the checker accepts exactly the
 valid one. CI runs it before validating real files so a broken checker
 cannot wave malformed datasets through.
 """
@@ -41,6 +41,7 @@ from pathlib import Path
 MAGIC = b"aide-view/1\n"
 MAX_DIMS = 1 << 10
 MAX_NAME_LEN = 1 << 12
+MAX_ROWS = (1 << 32) - 1
 
 
 class FormatError(Exception):
@@ -62,6 +63,8 @@ def validate(buf: io.BufferedIOBase):
     if not 1 <= dims <= MAX_DIMS:
         raise FormatError(f"dims {dims} out of range [1, {MAX_DIMS}]")
     (n,) = struct.unpack("<Q", _take(buf, 8, "row count"))
+    if n > MAX_ROWS:
+        raise FormatError(f"row count {n} exceeds the u32 row-id range")
     names, domains = [], []
     for d in range(dims):
         (name_len,) = struct.unpack("<H", _take(buf, 2, f"name length {d}"))
@@ -140,13 +143,14 @@ def self_test() -> int:
         print(f"self-test FAILED: valid sample rejected: {e}", file=sys.stderr)
         return 1
 
-    def corrupt(label, mutate):
+    def corrupt(label, mutate, reason=""):
+        """None when the mutated file is rejected (for `reason`, if given)."""
         data = bytearray(sample)
         mutate(data)
         try:
             validate(io.BytesIO(bytes(data)))
-        except FormatError:
-            return None
+        except FormatError as e:
+            return None if reason in str(e) else label
         return label
 
     nan_bits = struct.unpack("<Q", struct.pack("<d", math.nan))[0]
@@ -155,6 +159,9 @@ def self_test() -> int:
         ("bad magic", lambda d: d.__setitem__(0, d[0] ^ 0xFF)),
         ("zero dims", lambda d: d.__setitem__(slice(12, 16), struct.pack("<I", 0))),
         ("absurd dims", lambda d: d.__setitem__(slice(12, 16), struct.pack("<I", MAX_DIMS + 1))),
+        # Rejected from the header alone, not as a truncated lane.
+        ("row count beyond u32", lambda d: d.__setitem__(
+            slice(16, 24), struct.pack("<Q", 1 << 40)), "row count"),
         ("inverted domain", lambda d: d.__setitem__(
             slice(domain0, domain0 + 16),
             d[domain0 + 8:domain0 + 16] + d[domain0:domain0 + 8])),
@@ -163,7 +170,7 @@ def self_test() -> int:
         ("truncated lane", lambda d: d.__delitem__(slice(len(d) - 30, len(d)))),
         ("trailing garbage", lambda d: d.extend(b"\x00")),
     ]
-    accepted = [label for label, mutate in cases if corrupt(label, mutate)]
+    accepted = [label for label, *case in cases if corrupt(label, *case)]
     if accepted:
         print(f"self-test FAILED: corrupt files accepted: {accepted}", file=sys.stderr)
         return 1

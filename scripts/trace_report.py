@@ -23,11 +23,10 @@ Modes
     waves and plan events only inside their phase).
 
 ``trace_report.py --fingerprint TRACE``
-    SHA-256 of the timing-stripped trace (drops ``t_us``, every field
-    ending in ``_us`` and every field starting with ``shard``, mirroring
-    the Rust ``strip_timing`` rule). Two runs of the same session config
-    must fingerprint identically for any ``AIDE_THREADS`` or
-    ``AIDE_SHARDS`` setting; CI compares these digests.
+    SHA-256 of the timing-stripped trace (drops ``t_us`` and every field
+    ending in ``_us``, mirroring the Rust ``strip_timing`` rule). Two runs
+    of the same session config must fingerprint identically for any
+    ``AIDE_THREADS`` setting; CI compares these digests.
 
 Self-test: ``trace_report.py --self-test`` exercises the validator on
 known-good and known-broken synthetic traces.
@@ -45,7 +44,7 @@ SCHEMA = "aide-trace/1"
 EVENT_SCHEMA = {
     "session_start": (
         ["rows", "eval_rows", "dims", "samples_per_iteration", "strategy",
-         "index", "shards", "region_cache", "eval_every"], []),
+         "index", "region_cache", "eval_every"], []),
     "iter_start": (["iter"], []),
     "phase_start": (["iter", "phase"], []),
     "discovery_plan": (["iter", "phase", "strategy", "pending_areas",
@@ -56,7 +55,7 @@ EVENT_SCHEMA = {
                        "budget"], []),
     "wave": (["iter", "wave", "rects", "queries", "cache_hits",
               "cache_misses", "tuples_examined", "tuples_returned",
-              "dur_us"], ["phase", "shard_examined"]),
+              "dur_us"], ["phase"]),
     "phase_end": (["iter", "phase", "waves", "samples", "queries",
                    "dur_us"], []),
     "eval": (["iter", "points", "f", "precision", "recall", "tree_leaves",
@@ -98,11 +97,9 @@ def as_dict(pairs):
 
 
 def strip_timing(pairs):
-    """Mirror the Rust strip rule: drop t_us, any *_us field, and any
-    shard* field (sharding must be invisible in the stripped stream)."""
+    """Mirror the Rust strip rule: drop t_us and any *_us field."""
     return [(k, v) for k, v in pairs
-            if k != "t_us" and not k.endswith("_us")
-            and not k.startswith("shard")]
+            if k != "t_us" and not k.endswith("_us")]
 
 
 def fingerprint(path):
@@ -224,7 +221,6 @@ def report(path):
         out.append(
             f"session: {start['rows']} rows x {start['dims']} dims, "
             f"strategy={start['strategy']}, index={start['index']}, "
-            f"shards={start.get('shards', 1)}, "
             f"batch={start['samples_per_iteration']}, "
             f"cache={'on' if start['region_cache'] else 'off'}")
     if head.get("dropped"):
@@ -234,19 +230,7 @@ def report(path):
                f"{'queries':>7} {'hit/miss':>9} {'tuples':>8} "
                f"{'ms':>8} {'F':>6}")
 
-    def shard_sums(waves):
-        """Element-wise sum of the per-shard examined deltas, or None when
-        the waves came from a monolithic engine (no shard_examined)."""
-        total = None
-        for w in waves:
-            per = w.get("shard_examined")
-            if per:
-                total = per if total is None else [
-                    a + b for a, b in zip(total, per)]
-        return total
-
     iters = sorted({e["iter"] for e in evs if "iter" in e})
-    session_shards = None
     for it in iters:
         mine = [e for e in evs if e.get("iter") == it]
         phases = [e for e in mine if e["k"] == "phase_end"]
@@ -256,17 +240,11 @@ def report(path):
             hits = sum(w["cache_hits"] for w in waves)
             miss = sum(w["cache_misses"] for w in waves)
             tup = sum(w["tuples_examined"] for w in waves)
-            per = shard_sums(waves)
-            if per is not None:
-                session_shards = per if session_shards is None else [
-                    a + b for a, b in zip(session_shards, per)]
-            shard_col = (
-                f"  shards {'/'.join(str(v) for v in per)}" if per else "")
             out.append(
                 f"{it:>4} {ph['phase']:<13} {ph['waves']:>5} "
                 f"{ph['samples']:>7} {ph['queries']:>7} "
                 f"{f'{hits}/{miss}':>9} {tup:>8} "
-                f"{ph['dur_us'] / 1000:>8.2f}{shard_col}")
+                f"{ph['dur_us'] / 1000:>8.2f}")
         for ev in (e for e in mine if e["k"] == "model_fit"):
             detail = (f"{ev['leaves']} leaves" if "leaves" in ev
                       else f"{ev['clusters']} clusters" if "clusters" in ev
@@ -303,12 +281,6 @@ def report(path):
             f"session end: {fin['iterations']} iterations, "
             f"{fin['total_labeled']} labels, F = {fin['final_f']:.3f}, "
             f"{fin['dur_us'] / 1000:.1f}ms")
-    if session_shards is not None:
-        total = sum(session_shards) or 1
-        parts = ", ".join(
-            f"s{i}: {v} ({100 * v / total:.0f}%)"
-            for i, v in enumerate(session_shards))
-        out.append(f"per-shard tuples examined: {parts}")
     return "\n".join(out)
 
 
@@ -320,14 +292,13 @@ def self_test():
         {"k": "trace_header", "schema": SCHEMA, "events": 8, "dropped": 0},
         {"k": "session_start", "t_us": 1, "rows": 10, "eval_rows": 10,
          "dims": 2, "samples_per_iteration": 5, "strategy": "grid",
-         "index": "grid", "shards": 2, "region_cache": True,
+         "index": "grid", "region_cache": True,
          "eval_every": 1},
         {"k": "iter_start", "t_us": 2, "iter": 0},
         {"k": "phase_start", "t_us": 3, "iter": 0, "phase": "discovery"},
         {"k": "wave", "t_us": 4, "iter": 0, "phase": "discovery", "wave": 0,
          "rects": 1, "queries": 1, "cache_hits": 0, "cache_misses": 1,
-         "tuples_examined": 10, "tuples_returned": 4,
-         "shard_examined": [6, 4], "dur_us": 1},
+         "tuples_examined": 10, "tuples_returned": 4, "dur_us": 1},
         {"k": "phase_end", "t_us": 5, "iter": 0, "phase": "discovery",
          "waves": 1, "samples": 0, "queries": 1, "dur_us": 1},
         {"k": "model_fit", "t_us": 6, "iter": 0, "model": "cart",
@@ -390,32 +361,30 @@ def self_test():
                 fh.write(json.dumps(obj) + "\n")
             return fh.name
 
-    # The fingerprint must be shard-count invariant: a monolithic replay
-    # of the same session (shards=1, no shard_examined, different
-    # timings) digests identically to the sharded one.
-    mono = [dict(e) for e in good]
-    mono[1]["shards"] = 1
-    del mono[4]["shard_examined"]
-    for i, e in enumerate(mono[1:], 1):
+    # The fingerprint ignores wall-clock fields: a replay of the same
+    # session with different timings digests identically.
+    replay = [dict(e) for e in good]
+    for i, e in enumerate(replay[1:], 1):
         e["t_us"] = 100 + i
-    a, b = write_trace(good), write_trace(mono)
+        if "dur_us" in e:
+            e["dur_us"] += 7
+    a, b = write_trace(good), write_trace(replay)
     try:
         if fingerprint(a) != fingerprint(b):
             raise SystemExit(
-                "self-test fingerprint: sharded and monolithic traces "
-                "of the same session digest differently")
+                "self-test fingerprint: two timings of the same session "
+                "digest differently")
     finally:
         os.unlink(a)
         os.unlink(b)
 
-    # The report renders the per-shard wave breakdown.
+    # The report renders the model-fit rows.
     path = write_trace(good)
     try:
         rendered = report(path)
     finally:
         os.unlink(path)
-    for needle in ("shards=2", "shards 6/4", "per-shard tuples examined",
-                   "fit cart", "incremental, 3 leaves"):
+    for needle in ("fit cart", "incremental, 3 leaves"):
         if needle not in rendered:
             raise SystemExit(
                 f"self-test report: {needle!r} missing from:\n{rendered}")

@@ -84,8 +84,7 @@ fn usage(err: &str) -> ExitCode {
         "usage:\n  aide generate --dataset sdss|auction --rows N --out FILE [--seed N]\n  \
          aide describe --csv FILE\n  \
          aide explore --csv FILE --attrs a,b[,c...] [--batch N] [--max-iter N] [--seed N]\n  \
-         \x20             [--shards N] [--trace FILE.jsonl] [--target lo1,lo2:hi1,hi2[;...]] [--max-labels N]\n  \
-         \x20             [--rng-compat true]\n  \
+         \x20             [--trace FILE.jsonl] [--target lo1,lo2:hi1,hi2[;...]] [--max-labels N]\n  \
          aide dataset pack --csv FILE --attrs a,b[,c...] --out FILE.aideview\n  \
          aide dataset info --view FILE.aideview\n  \
          aide query --csv FILE --sql QUERY [--limit N]\n  \
@@ -242,11 +241,6 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
     let batch: usize = flags.parse_num("batch", 10)?;
     let max_iter: usize = flags.parse_num("max-iter", 50)?;
     let seed: u64 = flags.parse_num("seed", 7)?;
-    // 0 = auto (one shard per worker thread); `AIDE_SHARDS` overrides.
-    let shards: usize = flags.parse_num("shards", 0)?;
-    // `--rng-compat true` replays the pre-streams serial RNG discipline
-    // so traces recorded before the switchover reproduce bit-for-bit.
-    let rng_compat: bool = flags.parse_num("rng-compat", false)?;
     let view = Arc::new(
         table
             .numeric_view(&attrs)
@@ -257,8 +251,6 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
     let trace_path = flags.get("trace");
     let mut config = SessionConfig {
         samples_per_iteration: batch,
-        shards,
-        rng_compat,
         ..SessionConfig::default()
     };
     if trace_path.is_some() {
@@ -284,13 +276,7 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
             target,
             Xoshiro256pp::seed_from_u64(seed),
         );
-        println!(
-            "exploring {} rows over {:?} with {} shard{}",
-            table.num_rows(),
-            attrs,
-            session.shards(),
-            if session.shards() == 1 { "" } else { "s" }
-        );
+        println!("exploring {} rows over {:?}", table.num_rows(), attrs);
         let result = session.run(StopCondition {
             target_f: None,
             max_labels: Some(max_labels),
@@ -365,11 +351,9 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
         Xoshiro256pp::seed_from_u64(seed),
     );
     println!(
-        "exploring {} rows over {:?} with {} shard{}; label each shown row y/n, or q to finish\n",
+        "exploring {} rows over {:?}; label each shown row y/n, or q to finish\n",
         table.num_rows(),
-        attrs,
-        session.shards(),
-        if session.shards() == 1 { "" } else { "s" }
+        attrs
     );
     for _ in 0..max_iter {
         let report = session.run_iteration().clone();

@@ -11,19 +11,12 @@
 //! The fingerprints were re-recorded exactly once, when sample
 //! selection moved from serial draws on the shared session RNG to
 //! parallel selection on pre-split per-request streams (plus warm
-//! k-means seeding, which skips the k-means++ draws). The previous
-//! values are *not* gone: `rng_compat: true` replays the legacy serial
-//! discipline, and `rng_compat_replays_the_pre_streams_fingerprints`
-//! below asserts the archived pre-switchover fingerprints bit-for-bit
-//! under it.
+//! k-means seeding, which skips the k-means++ draws).
 //!
-//! Thread independence is covered by CI's threads matrix, which runs
-//! this file under both `AIDE_THREADS=1` and `AIDE_THREADS=4`: the
-//! fingerprints must hold for any thread count. Shard independence is
-//! covered twice: CI's shard matrix re-runs the whole file under
-//! `AIDE_SHARDS=1` and `AIDE_SHARDS=4` (the environment variable beats
-//! `SessionConfig::shards`), and the in-process matrix tests below pin
-//! each strategy's fingerprint at explicit shard × thread combinations.
+//! Thread independence is covered twice: CI's threads matrix runs this
+//! file under both `AIDE_THREADS=1` and `AIDE_THREADS=4`, and the
+//! in-process matrix tests below pin each strategy's fingerprint at 1
+//! and 4 worker threads.
 
 use std::sync::Arc;
 
@@ -247,16 +240,14 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
     ]
 }
 
-/// Runs one strategy at explicit (shards, threads) combinations and
-/// asserts the pinned monolithic fingerprint every time. `AIDE_SHARDS` /
-/// `AIDE_THREADS`, when set, beat the config values, so under CI's env
-/// matrix every combination still asserts the same fingerprint — just
-/// at the env-resolved shard and thread counts.
-fn assert_matrix(which: usize, combos: &[(usize, usize)]) {
+/// Runs one strategy at explicit worker-thread counts and asserts the
+/// pinned fingerprint every time. `AIDE_THREADS`, when set, beats the
+/// config value, so under CI's env matrix every run still asserts the
+/// same fingerprint — just at the env-resolved thread count.
+fn assert_matrix(which: usize, threads: &[usize]) {
     let (config, want) = pinned().swap_remove(which);
-    for &(shards, threads) in combos {
+    for &threads in threads {
         let (_, fp) = run_session(SessionConfig {
-            shards,
             threads,
             ..config.clone()
         });
@@ -265,24 +256,23 @@ fn assert_matrix(which: usize, combos: &[(usize, usize)]) {
 }
 
 #[test]
-fn grid_fingerprint_is_shard_and_thread_invariant() {
-    // (1, 1) is the pinned test above; cover the other three corners.
-    assert_matrix(0, &[(4, 1), (1, 4), (4, 4)]);
+fn grid_fingerprint_is_thread_invariant() {
+    assert_matrix(0, &[1, 4]);
 }
 
 #[test]
-fn cluster_fingerprint_is_shard_invariant() {
-    assert_matrix(1, &[(4, 1), (4, 4)]);
+fn cluster_fingerprint_is_thread_invariant() {
+    assert_matrix(1, &[1, 4]);
 }
 
 #[test]
-fn hybrid_fingerprint_is_shard_invariant() {
-    assert_matrix(2, &[(4, 1), (4, 4)]);
+fn hybrid_fingerprint_is_thread_invariant() {
+    assert_matrix(2, &[1, 4]);
 }
 
 #[test]
-fn adaptive_fingerprint_is_shard_invariant() {
-    assert_matrix(3, &[(4, 1), (4, 4)]);
+fn adaptive_fingerprint_is_thread_invariant() {
+    assert_matrix(3, &[1, 4]);
 }
 
 #[test]
@@ -308,83 +298,4 @@ fn disabling_the_region_cache_changes_costs_but_not_labels() {
         t_cached.tuples_examined,
         t_plain.tuples_examined
     );
-}
-
-/// The four archived fingerprints recorded on the pre-streams serial
-/// implementation (before sample selection moved to pre-split RNG
-/// streams and k-means gained warm starts), with the config override
-/// that produced each. `rng_compat: true` must reproduce them
-/// bit-for-bit forever; old recorded traces depend on it.
-fn legacy_pinned() -> Vec<(SessionConfig, Fingerprint)> {
-    vec![
-        (
-            SessionConfig::default(),
-            Fingerprint {
-                labeled: 598,
-                relevant: 55,
-                f_bits: 0x3feb2c0397cdb2c0,
-                hash: 0xd5216dd22857e5a1,
-                queries_total: 902,
-            },
-        ),
-        (
-            SessionConfig {
-                discovery_strategy: DiscoveryStrategy::Clustering,
-                ..SessionConfig::default()
-            },
-            Fingerprint {
-                labeled: 598,
-                relevant: 52,
-                f_bits: 0x3feecccccccccccd,
-                hash: 0x38c2a2064a4a9ef1,
-                queries_total: 499,
-            },
-        ),
-        (
-            SessionConfig {
-                discovery_strategy: DiscoveryStrategy::Hybrid,
-                hybrid_switch_after: 8,
-                hybrid_min_hit_rate: 0.3,
-                ..SessionConfig::default()
-            },
-            Fingerprint {
-                labeled: 600,
-                relevant: 77,
-                f_bits: 0x3fee79e79e79e79e,
-                hash: 0xa1bc5285a79b7aa1,
-                queries_total: 764,
-            },
-        ),
-        (
-            SessionConfig {
-                adaptive_misclass_y: true,
-                clustered_misclassified: false,
-                misclass_retire_after: 2,
-                eval_every: 3,
-                ..SessionConfig::default()
-            },
-            Fingerprint {
-                labeled: 600,
-                relevant: 59,
-                f_bits: 0x3fee43112cfbe91a,
-                hash: 0x33205235fe9a270a,
-                queries_total: 869,
-            },
-        ),
-    ]
-}
-
-#[test]
-fn rng_compat_replays_the_pre_streams_fingerprints() {
-    // One strategy per archived fingerprint: the compat switch restores
-    // serial selection on the shared RNG, cold k-means++ seeding every
-    // round, and trace streams without model_fit events — so sessions
-    // recorded before the streams switchover replay bit-for-bit.
-    for (config, want) in legacy_pinned() {
-        let (_, fp) = run_session(SessionConfig {
-            rng_compat: true,
-            ..config
-        });
-        assert_fp(&fp, &want);
-    }
 }

@@ -10,10 +10,7 @@
 //! If `AIDE_THREADS` is set (CI's threads matrix), it overrides both
 //! configs identically — the equality check stays meaningful, it just
 //! compares two runs at the same count, which also pins run-to-run
-//! reproducibility. The same holds for `AIDE_SHARDS` and the
-//! shard-invariance test: the strip rule drops every `shard*` field
-//! alongside the wall-clock ones, so a stripped stream is identical at
-//! any shard count.
+//! reproducibility.
 
 use std::sync::Arc;
 
@@ -22,11 +19,17 @@ use aide::data::sdss_like;
 use aide::index::{ExtractionEngine, IndexKind};
 use aide::util::geom::Rect;
 use aide::util::rng::Xoshiro256pp;
-use aide::util::trace::{stripped_jsonl, Tracer};
+use aide::util::trace::{stripped_jsonl, Event, Tracer};
 
 /// Run a 12-iteration session with an enabled tracer and return the
 /// timing-stripped JSONL of everything it emitted.
 fn traced_stream(config: SessionConfig) -> String {
+    stripped_jsonl(&traced_events(config))
+}
+
+/// Run a 12-iteration session with an enabled tracer and return every
+/// event it emitted, wall-clock fields included.
+fn traced_events(config: SessionConfig) -> Vec<Event> {
     let mut rng = Xoshiro256pp::seed_from_u64(11);
     let table = sdss_like(30_000).generate(&mut rng);
     let view = Arc::new(table.numeric_view(&["rowc", "colc"]).unwrap());
@@ -49,7 +52,7 @@ fn traced_stream(config: SessionConfig) -> String {
     s.finish_trace();
     let events = tracer.drain();
     assert!(!events.is_empty(), "an enabled tracer captured nothing");
-    stripped_jsonl(&events)
+    events
 }
 
 /// Assert the stripped stream is identical at 1 and 4 worker threads,
@@ -129,47 +132,32 @@ fn adaptive_trace_is_thread_count_invariant() {
 
 #[test]
 fn stripped_trace_is_shard_count_invariant() {
-    // The unstripped stream differs across shard counts (`session_start`
-    // carries `shards`, sharded waves carry `shard_examined`), but the
-    // strip rule removes every `shard*` field with the wall-clock ones:
-    // stripped streams must be byte-identical at 1 and 4 shards and
-    // carry no shard residue at all.
-    let at = |shards: usize| {
-        traced_stream(SessionConfig {
-            shards,
+    // The engine is monolithic: no shard count exists to vary, so the
+    // only remaining axis is the worker-thread count. The raw stream
+    // (wall-clock fields included) must carry no shard field at all —
+    // no `shards` on `session_start`, no `shard_examined` on waves —
+    // and the stripped stream must be identical at 1 and 4 threads.
+    let raw = |threads: usize| {
+        traced_events(SessionConfig {
+            threads,
             tracer: Tracer::new(),
             ..SessionConfig::default()
         })
     };
-    let one = at(1);
-    let four = at(4);
+    let one = raw(1);
+    let four = raw(4);
+    for event in one.iter().chain(&four) {
+        let line = event.to_jsonl(false);
+        assert!(
+            !line.contains("shard"),
+            "trace event carries a shard field: {line}"
+        );
+    }
     assert_eq!(
-        one, four,
-        "timing-stripped trace differs between 1 and 4 shards"
+        stripped_jsonl(&one),
+        stripped_jsonl(&four),
+        "timing-stripped trace differs between 1 and 4 threads"
     );
-    assert!(
-        !one.contains("shard"),
-        "stripped stream leaks a shard field"
-    );
-}
-
-#[test]
-fn rng_compat_trace_carries_no_model_fit_events() {
-    // Traces recorded before the streams switchover have no model_fit
-    // events; the compat replay must not inject them, or archived
-    // fingerprints over stripped streams would drift.
-    let compat = traced_stream(SessionConfig {
-        rng_compat: true,
-        tracer: Tracer::new(),
-        ..SessionConfig::default()
-    });
-    assert!(
-        !compat.contains("model_fit"),
-        "rng_compat stream leaks a model_fit event"
-    );
-    // The replay still carries the rest of the schema.
-    assert!(compat.contains(r#""k":"session_start""#));
-    assert!(compat.contains(r#""k":"iter_end""#));
 }
 
 #[test]
