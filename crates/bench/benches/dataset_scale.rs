@@ -9,7 +9,7 @@ use aide_bench::harness::{
 };
 use aide_core::{evaluate_model_with, ExplorationSession, SessionConfig, SizeClass};
 use aide_data::{load_view, NumericView};
-use aide_index::{ExtractionEngine, GridIndex, IndexKind};
+use aide_index::{ExtractionEngine, GridIndex, IndexKind, RegionIndex};
 use aide_ml::{DecisionTree, TreeParams};
 use aide_testkit::bench::{black_box, Harness};
 use aide_util::geom::Rect;
@@ -125,11 +125,13 @@ fn main() {
         group.bench("grid_build", move || {
             GridIndex::build_with(black_box(&build_view), &Pool::from_env(0))
         });
-        let mut count_engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-        count_engine.set_cache_enabled(false);
+        // `RegionIndex::count` on the built index: the access path, not
+        // the cache.
+        let count_index = GridIndex::build_with(&view, &Pool::from_env(0));
+        let count_view = Arc::clone(&view);
         let count_rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
         group.bench("count_uncached", move || {
-            count_engine.count_in(black_box(&count_rect))
+            count_index.count(&count_view, black_box(&count_rect))
         });
         let options = ExpOptions {
             rows: n,

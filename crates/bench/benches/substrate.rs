@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use aide_bench::harness::{dense_view, sdss_table};
 use aide_core::{evaluate_model_with, TargetQuery};
-use aide_index::{ExtractionEngine, GridIndex, IndexKind};
+use aide_index::{
+    ExtractionEngine, GridIndex, IndexKind, RegionIndex, ScanIndex, SharedRegionCache,
+};
 use aide_ml::{DecisionTree, KMeans, TreeParams};
 use aide_query::parse_selection;
 use aide_testkit::bench::{black_box, Harness};
@@ -28,6 +30,17 @@ fn training_set(n: usize, seed: u64) -> (Vec<f64>, Vec<bool>) {
         labels.push((40.0..48.0).contains(&x) && (55.0..63.0).contains(&y));
     }
     (data, labels)
+}
+
+/// Untimed bench setup: a fork of `engine` (same view, index and pool)
+/// holding a fresh, empty region cache and a handle to `tracer`.
+fn cold_fork(engine: &ExtractionEngine, tracer: Tracer) -> impl FnMut() -> ExtractionEngine + '_ {
+    move || {
+        let mut fork = engine.fork_session();
+        fork.set_shared_cache(SharedRegionCache::new());
+        fork.set_tracer(tracer.clone());
+        fork
+    }
 }
 
 fn main() {
@@ -63,13 +76,19 @@ fn main() {
     let table = sdss_table(200_000, 1);
     let view = Arc::new(dense_view(&table));
     let rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
+    // `RegionIndex::count` on the built index: measures the access path,
+    // not the cache.
     let mut group = h.group("substrate/region_query");
-    for kind in [IndexKind::Grid, IndexKind::Scan] {
-        let mut engine = ExtractionEngine::from_arc(Arc::clone(&view), kind);
-        engine.set_cache_enabled(false); // measure the access path, not the cache
-        let name = format!("{kind:?}").to_lowercase();
+    let paths: [Box<dyn RegionIndex>; 2] = [
+        Box::new(GridIndex::build_with(&view, &Pool::from_env(0))),
+        Box::new(ScanIndex::new()),
+    ];
+    for index in paths {
+        let index_view = Arc::clone(&view);
         let rect = rect.clone();
-        group.bench(&name, move || engine.count_in(black_box(&rect)));
+        group.bench(index.name(), move || {
+            index.count(&index_view, black_box(&rect))
+        });
     }
     drop(group);
 
@@ -140,9 +159,10 @@ fn main() {
     // --- Batched extraction and the region-result cache ---------------------
     // The rect workload mirrors the misclassified phase: small sampling
     // areas around false-negative-like points. `serial_loop` vs
-    // `query_batch` isolates the batching win (cache off on both);
-    // `cold_cache` vs `warm_cache` isolates the cache win (a fresh engine
-    // per iteration vs a primed one answering everything from cache).
+    // `query_batch` isolates the batching win (every call starts from an
+    // empty cache: the untimed setup forks the engine and installs a fresh
+    // one); `cold_cache` vs `warm_cache` isolates the cache win (a fresh
+    // engine per iteration vs a primed one answering everything from cache).
     let mut rect_rng = Xoshiro256pp::seed_from_u64(9);
     let fn_rects: Vec<Rect> = (0..48)
         .map(|_| {
@@ -158,23 +178,21 @@ fn main() {
     for threads in [1usize, 4] {
         let mut engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
         engine.set_pool(Pool::new(threads));
-        engine.set_cache_enabled(false);
         let rects = fn_rects.clone();
-        group.bench(&format!("serial_loop_48rects/t{threads}"), move || {
-            let mut returned = 0usize;
-            for rect in &rects {
-                returned += engine.query_in(black_box(rect)).len();
-            }
-            returned
-        });
+        group.bench_batched(
+            &format!("serial_loop_48rects/t{threads}"),
+            cold_fork(&engine, Tracer::disabled()),
+            move |mut engine| -> usize {
+                rects.iter().map(|r| engine.query_in(black_box(r)).len()).sum()
+            },
+        );
 
-        let mut engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-        engine.set_pool(Pool::new(threads));
-        engine.set_cache_enabled(false);
         let rects = fn_rects.clone();
-        group.bench(&format!("query_batch_48rects/t{threads}"), move || {
-            engine.query_batch(black_box(&rects))
-        });
+        group.bench_batched(
+            &format!("query_batch_48rects/t{threads}"),
+            cold_fork(&engine, Tracer::disabled()),
+            move |mut engine| engine.query_batch(black_box(&rects)),
+        );
     }
 
     let cold_view = Arc::clone(&view);
@@ -205,19 +223,20 @@ fn main() {
 
     // --- Tracing overhead -----------------------------------------------------
     // The disabled tracer must cost one branch per batch call: the
-    // `disabled` and `enabled` pair run the same 48-rect batch (cache off,
-    // so every call does real extraction work) and differ only in the
-    // tracer wired into the engine. `emit_only` prices the emission path
-    // itself — ring-buffer push of a typical wave event, no extraction.
+    // `disabled` and `enabled` pair run the same 48-rect batch (each call
+    // on a fork with a fresh cache, so every call does real extraction
+    // work) and differ only in the tracer wired into the engine.
+    // `emit_only` prices the emission path itself — ring-buffer push of a
+    // typical wave event, no extraction.
     let mut group = h.group("substrate/trace");
+    let engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
     for (name, tracer) in [("disabled", Tracer::disabled()), ("enabled", Tracer::new())] {
-        let mut engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-        engine.set_cache_enabled(false);
-        engine.set_tracer(tracer);
         let rects = fn_rects.clone();
-        group.bench(&format!("query_batch_48rects/{name}"), move || {
-            engine.query_batch(black_box(&rects))
-        });
+        group.bench_batched(
+            &format!("query_batch_48rects/{name}"),
+            cold_fork(&engine, tracer),
+            move |mut engine| engine.query_batch(black_box(&rects)),
+        );
     }
     let emitter = Tracer::ring(1 << 10);
     group.bench("emit_only/wave_event", move || {

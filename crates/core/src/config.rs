@@ -154,13 +154,6 @@ pub struct SessionConfig {
     /// everything inline on the calling thread. Results are bit-identical
     /// for any setting.
     pub threads: usize,
-    /// Consult the extraction engine's region-result cache (on by
-    /// default). The sampled view is immutable, so cached rectangle
-    /// results never go stale; a hit still counts as an extraction query
-    /// but charges 0 `tuples_examined`. Turning this off restores the
-    /// pre-cache cost accounting (every query re-examines tuples) — the
-    /// returned samples and labels are identical either way.
-    pub region_cache: bool,
     /// Structured tracing handle ([`aide_util::trace`]). Disabled by
     /// default: every emission is one branch and the session behaves
     /// exactly as untraced. An enabled tracer records span, wave, eval
@@ -211,7 +204,6 @@ impl Default for SessionConfig {
             phases: PhaseToggles::default(),
             eval_every: 1,
             threads: 0,
-            region_cache: true,
             tracer: Tracer::disabled(),
         }
     }

@@ -629,11 +629,24 @@ pub fn serve_connection(stream: TcpStream, host: &SessionHost) -> std::io::Resul
     }
 }
 
-/// Accept loop: one thread per connection, all sharing `host`. Runs
-/// until the listener errors (never, in practice — kill the process).
-pub fn serve_listener(listener: TcpListener, host: Arc<SessionHost>) -> std::io::Result<()> {
+/// Pause after a failed `accept` before the listener is polled again.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(50);
+
+/// Accept loop: one thread per connection, all sharing `host`. Never
+/// returns — kill the process to stop it. A failed `accept` (file
+/// descriptors exhausted, a connection aborted before it was accepted)
+/// is reported to stderr and retried after [`ACCEPT_RETRY_PAUSE`], so a
+/// transient error cannot stop the server.
+pub fn serve_listener(listener: TcpListener, host: Arc<SessionHost>) -> ! {
     loop {
-        let (stream, _) = listener.accept()?;
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                eprintln!("accept failed: {e}; retrying");
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                continue;
+            }
+        };
         let host = Arc::clone(&host);
         std::thread::spawn(move || {
             // A dropped connection mid-write is the client's problem;
@@ -671,6 +684,25 @@ mod tests {
         let j = parse(frame);
         assert_eq!(j.get("ok").and_then(Json::as_bool), Some(false));
         j.get("error").and_then(Json::as_str).unwrap().to_string()
+    }
+
+    #[test]
+    fn accept_errors_do_not_stop_the_listener() {
+        // A non-blocking listener with no pending connection fails its
+        // first `accept` with `WouldBlock`; the loop must keep going and
+        // serve the client that connects afterwards.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let h = Arc::new(host());
+        std::thread::spawn(move || serve_listener(listener, h));
+        std::thread::sleep(ACCEPT_RETRY_PAUSE * 2);
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut hello = String::new();
+        BufReader::new(stream).read_line(&mut hello).unwrap();
+        let j = parse(hello.trim_end());
+        assert_eq!(j.get("hello").and_then(Json::as_str), Some(PROTOCOL));
     }
 
     #[test]

@@ -148,22 +148,17 @@ impl SessionResult {
     }
 
     /// Two-line cost report for session summaries: extraction costs with
-    /// the region-cache hit rate (hits / (hits + misses); "cache off"
-    /// when the session never consulted it), then model-maintenance
+    /// the region-cache hit rate (hits / (hits + misses); 0 when the
+    /// session issued no extraction query), then model-maintenance
     /// costs — the model-fit share of total iteration time and the
     /// incremental-refit vs full-rebuild split of the CART retrains.
     pub fn cost_summary(&self) -> String {
         let t = self.extraction_totals();
         let lookups = t.cache_hits + t.cache_misses;
-        let cache = if lookups == 0 {
-            "cache off".to_string()
+        let hit_rate = if lookups == 0 {
+            0.0
         } else {
-            format!(
-                "cache {} hits / {} misses ({:.1}% hit rate)",
-                t.cache_hits,
-                t.cache_misses,
-                100.0 * t.cache_hits as f64 / lookups as f64
-            )
+            100.0 * t.cache_hits as f64 / lookups as f64
         };
         let fit = self.model_fit_total();
         let share = if self.total_time.is_zero() {
@@ -173,12 +168,15 @@ impl SessionResult {
         };
         let (incremental, rebuilds) = self.model_fit_counts();
         format!(
-            "extraction: {} queries, {} tuples examined, {} returned, {}, {:.1?} in engine\n\
+            "extraction: {} queries, {} tuples examined, {} returned, \
+             cache {} hits / {} misses ({:.1}% hit rate), {:.1?} in engine\n\
              model fit: {:.1?} ({:.1}% of iteration time), {} incremental refit{} / {} full rebuild{}",
             t.queries,
             t.tuples_examined,
             t.tuples_returned,
-            cache,
+            t.cache_hits,
+            t.cache_misses,
+            hit_rate,
             t.elapsed,
             fit,
             share,
@@ -307,11 +305,9 @@ impl ExplorationSession {
         let discovery = DiscoveryPhase::new(&config, &engine, &mut rng);
         let dims = engine.view().dims();
         let pool = Pool::from_env(config.threads);
-        // The engine shares the session pool for its batch passes, the
-        // session's cache toggle governs its region-result cache, and the
+        // The engine shares the session pool for its batch passes, and the
         // session's tracer receives the engine's per-wave events.
         engine.set_pool(pool);
-        engine.set_cache_enabled(config.region_cache);
         engine.set_tracer(config.tracer.clone());
         if config.tracer.is_enabled() {
             // Construction work (index build, discovery k-means) happened
@@ -329,7 +325,6 @@ impl ExplorationSession {
                     ("samples_per_iteration", Value::from(config.samples_per_iteration)),
                     ("strategy", Value::from(strategy)),
                     ("index", Value::from(index)),
-                    ("region_cache", Value::from(config.region_cache)),
                     ("eval_every", Value::from(config.eval_every)),
                 ],
             );

@@ -39,8 +39,9 @@ pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<()> {
 ///
 /// Column types are inferred from the data: a column where every value
 /// parses as `i64` becomes `Int`; failing that, `f64` → `Float`;
-/// otherwise `Text`. An input with only a header yields an empty table of
-/// text columns.
+/// otherwise `Text`. A `Float` cell must be finite: `inf`, `-inf` and
+/// `NaN` are rejected with [`DataError::Csv`] naming the line. An input
+/// with only a header yields an empty table of text columns.
 pub fn read_csv<R: BufRead>(name: &str, input: R) -> Result<Table> {
     let mut records = parse_records(input)?;
     if records.is_empty() {
@@ -109,13 +110,17 @@ fn parse_value(s: &str, dtype: DataType, line: usize) -> Result<Value> {
                 line,
                 message: format!("bad int `{s}`: {e}"),
             }),
-        DataType::Float => s
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|e| DataError::Csv {
+        DataType::Float => match s.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Value::Float(v)),
+            Ok(_) => Err(DataError::Csv {
+                line,
+                message: format!("non-finite float `{s}`"),
+            }),
+            Err(e) => Err(DataError::Csv {
                 line,
                 message: format!("bad float `{s}`: {e}"),
             }),
+        },
         DataType::Text => Ok(Value::Text(s.to_owned())),
     }
 }
@@ -267,6 +272,20 @@ mod tests {
         match err {
             DataError::Csv { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_float_cells_are_rejected_with_line_number() {
+        for cell in ["inf", "-inf", "NaN"] {
+            let csv = format!("a,b\n1.5,2\n{cell},3\n");
+            match read_csv("t", Cursor::new(csv)) {
+                Err(DataError::Csv { line, message }) => {
+                    assert_eq!(line, 3, "{cell}");
+                    assert!(message.contains("non-finite"), "{cell}: {message}");
+                }
+                other => panic!("{cell}: want a Csv error, got {other:?}"),
+            }
         }
     }
 

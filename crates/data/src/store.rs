@@ -28,8 +28,8 @@
 //! an intermediate buffer proportional to the dataset.
 //!
 //! Malformed files — wrong magic, truncated lanes, non-finite or inverted
-//! domain bounds, trailing garbage — are rejected with
-//! [`DataError::Format`] naming the offending field.
+//! domain bounds, non-finite lane values, trailing garbage — are rejected
+//! with [`DataError::Format`] naming the offending field.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -169,11 +169,24 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
             let take = remaining.min(IO_CHUNK_VALUES);
             let bytes = &mut buf[..take * 8];
             fill(r, bytes, &format!("lane {d}"))?;
+            let decoded = lane.len();
             lane.extend(
                 bytes
                     .chunks_exact(8)
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()))),
             );
+            // Checked per chunk while the chunk is still in cache, with a
+            // branch-free fold the compiler vectorizes; the offending row
+            // is located only on the error path.
+            if lane[decoded..].iter().fold(false, |bad, v| bad | !v.is_finite()) {
+                let at = lane[decoded..].iter().position(|v| !v.is_finite()).unwrap();
+                return Err(DataError::Format(format!(
+                    "lane {d} ({:?}) holds non-finite value {} at row {}",
+                    attrs[d as usize],
+                    lane[decoded + at],
+                    decoded + at
+                )));
+            }
             remaining -= take;
         }
         lanes.push(lane);
@@ -336,6 +349,23 @@ mod tests {
         let mut bad = bytes;
         bad[lo_at..lo_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         expect_format_error(&bad, "invalid domain");
+    }
+
+    #[test]
+    fn non_finite_lane_values_are_rejected() {
+        let view = sample_view(IO_CHUNK_VALUES + 10, 2, 5);
+        let mut bytes = Vec::new();
+        write_view_to(&view, &mut bytes).unwrap();
+        let lanes_at = bytes.len() - 2 * 8 * view.len() - 4 * view.len();
+        // Lane 1, row IO_CHUNK_VALUES + 3: in the second streaming chunk.
+        let row = IO_CHUNK_VALUES + 3;
+        let at = lanes_at + 8 * (view.len() + row);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            expect_format_error(&corrupt, "lane 1 (\"attr_1\") holds non-finite");
+            expect_format_error(&corrupt, &format!("at row {row}"));
+        }
     }
 
     /// A header for a one-lane view claiming `n` rows, with no body.

@@ -291,24 +291,6 @@ impl NumericView {
         &self.mapper
     }
 
-    /// Appends rows given as normalized row-major data, extending every
-    /// lane in place. Existing rows (and therefore any index built over a
-    /// prefix of the view) are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of the dimensionality or
-    /// disagrees with `row_ids.len()`.
-    pub fn append_rows(&mut self, data: &[f64], row_ids: &[u32]) {
-        let dims = self.dims();
-        assert_eq!(data.len() % dims, 0, "ragged point buffer");
-        assert_eq!(data.len() / dims, row_ids.len(), "row id count mismatch");
-        for (d, lane) in self.lanes.iter_mut().enumerate() {
-            lane.extend(row_ids.iter().enumerate().map(|(r, _)| data[r * dims + d]));
-        }
-        self.row_ids.extend_from_slice(row_ids);
-    }
-
     /// The branch-free containment kernel: appends to `out` the indices of
     /// every row in `[start, end)` lying inside `rect`, in ascending order.
     ///
@@ -601,19 +583,5 @@ mod tests {
         assert_eq!(view.count_indices(&rect, &candidates), 3);
         assert!(view.contains_index(&rect, 2));
         assert!(!view.contains_index(&rect, 4));
-    }
-
-    #[test]
-    fn append_rows_extends_lanes_in_place() {
-        let m = mapper2();
-        let mut view = NumericView::new(m.clone(), vec![1.0, 2.0], vec![0]);
-        view.append_rows(&[3.0, 4.0, 5.0, 6.0], &[1, 2]);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.lane(0), &[1.0, 3.0, 5.0]);
-        assert_eq!(view.lane(1), &[2.0, 4.0, 6.0]);
-        assert_eq!(view.row_ids(), &[0, 1, 2]);
-        // Appending is equivalent to constructing the whole view at once.
-        let whole = NumericView::new(m, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![0, 1, 2]);
-        assert_eq!(view, whole);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! An [`ExtractionEngine`](crate::ExtractionEngine) answers every phase
 //! query over an immutable [`NumericView`](aide_data::NumericView), so a
-//! rectangle's answer can never go stale: [`RegionCache`] memoizes
+//! rectangle's answer can never go stale: [`SharedRegionCache`] memoizes
 //! query/count results keyed on the **exact bit pattern** of the
 //! rectangle's bounds ([`Rect::key`](aide_util::geom::Rect::key) — no
 //! epsilon games, a bit-different rectangle selects a different point
@@ -17,7 +17,7 @@
 //! `tuples_examined`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use aide_util::geom::{Rect, RectKey};
 
@@ -42,67 +42,17 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A never-invalidated map from canonical rectangle key to query result.
-///
-/// ```
-/// use std::sync::Arc;
-/// use aide_index::{QueryOutput, RegionCache};
-/// use aide_util::geom::Rect;
-///
-/// let mut cache = RegionCache::new();
-/// let rect = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-/// assert!(cache.get_query(&rect.key()).is_none()); // miss
-///
-/// cache.put_query(&rect, Arc::new(QueryOutput { indices: vec![3, 8], examined: 40 }));
-/// // Keyed on the exact f64 bit pattern: the same bounds hit…
-/// assert_eq!(cache.get_query(&rect.key()).unwrap().indices, vec![3, 8]);
-/// // …and a full query result serves count lookups for free.
-/// assert_eq!(cache.get_count(&rect.key()).unwrap().count, 2);
-/// // A bit-different rectangle is a different region: miss.
-/// let nudged = Rect::new(vec![0.0, 0.0], vec![1.0 + f64::EPSILON, 1.0]);
-/// assert!(cache.get_query(&nudged.key()).is_none());
-/// ```
+/// The cache contents behind [`SharedRegionCache`]'s lock. Only engines
+/// read and fill it, taking the lock once per lookup or insert pass.
 #[derive(Debug, Default)]
-pub struct RegionCache {
+pub(crate) struct CacheState {
     entries: HashMap<RectKey, Entry>,
     stats: CacheStats,
 }
 
-impl RegionCache {
-    /// Hard cap on cached rectangles. The steering loop's working set is
-    /// tiny (hundreds of distinct rectangles per session); the cap only
-    /// bounds memory under adversarial workloads. Once full, new results
-    /// are simply not cached — entries are never evicted, so a cached
-    /// answer stays cached (which keeps hit patterns deterministic).
-    pub const MAX_ENTRIES: usize = 1 << 16;
-
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached rectangles.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit/miss counters since construction (or the last [`Self::reset_stats`]).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Clears the hit/miss counters (the cached entries stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
+impl CacheState {
     /// Looks up the full query result for `rect`, counting a hit or miss.
-    pub fn get_query(&mut self, key: &RectKey) -> Option<Arc<QueryOutput>> {
+    pub(crate) fn get_query(&mut self, key: &RectKey) -> Option<Arc<QueryOutput>> {
         let found = self.entries.get(key).and_then(|e| e.query.clone());
         self.tally(found.is_some());
         found
@@ -110,7 +60,7 @@ impl RegionCache {
 
     /// Looks up a count for `rect`, counting a hit or miss. Served from
     /// either a cached count or a cached full query result.
-    pub fn get_count(&mut self, key: &RectKey) -> Option<CountOutput> {
+    pub(crate) fn get_count(&mut self, key: &RectKey) -> Option<CountOutput> {
         let found = self.entries.get(key).and_then(|e| {
             e.count.or_else(|| {
                 e.query.as_ref().map(|q| CountOutput {
@@ -124,14 +74,14 @@ impl RegionCache {
     }
 
     /// Memoizes a full query result for `rect`.
-    pub fn put_query(&mut self, rect: &Rect, out: Arc<QueryOutput>) {
+    pub(crate) fn put_query(&mut self, rect: &Rect, out: Arc<QueryOutput>) {
         if let Some(entry) = self.entry(rect) {
             entry.query = Some(out);
         }
     }
 
     /// Memoizes a count-only result for `rect`.
-    pub fn put_count(&mut self, rect: &Rect, out: CountOutput) {
+    pub(crate) fn put_count(&mut self, rect: &Rect, out: CountOutput) {
         if let Some(entry) = self.entry(rect) {
             entry.count = Some(out);
         }
@@ -139,7 +89,8 @@ impl RegionCache {
 
     fn entry(&mut self, rect: &Rect) -> Option<&mut Entry> {
         let key = rect.key();
-        if self.entries.len() >= Self::MAX_ENTRIES && !self.entries.contains_key(&key) {
+        if self.entries.len() >= SharedRegionCache::MAX_ENTRIES && !self.entries.contains_key(&key)
+        {
             return None;
         }
         Some(self.entries.entry(key).or_default())
@@ -154,94 +105,84 @@ impl RegionCache {
     }
 }
 
-/// A [`RegionCache`] shareable across engines (and threads).
+/// A never-invalidated map from canonical rectangle key to query result,
+/// shareable across engines (and threads).
 ///
-/// The never-invalidate contract is what makes sharing safe: every
-/// engine holding a clone answers queries over the **same immutable
-/// view**, so a rectangle's cached result is exact no matter which
-/// engine computed it. Sharing changes only *cost accounting* (who pays
-/// the miss, who enjoys the hit) — never indices, counts, samples or any
+/// The never-invalidate contract holds by construction: only engines fill
+/// the cache, an engine's view and index never change after it is built,
+/// and every engine holding a clone of this handle answers queries over
+/// the **same view** (forks share it, see
+/// [`ExtractionEngine::fork_session`](crate::ExtractionEngine::fork_session)).
+/// So a rectangle's cached result is exact no matter which engine
+/// computed it. Sharing changes only *cost accounting* (who pays the
+/// miss, who enjoys the hit) — never indices, counts, samples or any
 /// caller's RNG stream. This is the cross-session scaling win `aide
 /// serve` is built on: the first analyst to probe a region pays for it,
 /// every later analyst hits.
 ///
-/// Mutation sites ([`ExtractionEngine::append_rows`]
-/// (crate::ExtractionEngine::append_rows)) refuse to run on an engine
-/// holding a shared cache, because an append would change what the
-/// cached rectangles *should* return for every other holder.
-///
 /// Clones are handles to one underlying cache; the hit/miss counters
 /// aggregate across all holders (each engine additionally books its own
-/// per-engine [`CacheStats`](crate::CacheStats) into its
+/// per-engine counters into its
 /// [`ExtractionStats`](crate::ExtractionStats)).
 ///
 /// ```
-/// use std::sync::Arc;
-/// use aide_index::{QueryOutput, SharedRegionCache};
+/// use aide_data::view::{Domain, NumericView, SpaceMapper};
+/// use aide_index::{CacheStats, ExtractionEngine, IndexKind, SharedRegionCache};
 /// use aide_util::geom::Rect;
 ///
-/// let shared = SharedRegionCache::new();
-/// let alias = shared.clone();
-/// let rect = Rect::new(vec![0.0], vec![1.0]);
-/// shared.put_query(&rect, Arc::new(QueryOutput { indices: vec![2], examined: 5 }));
-/// // The other handle sees the entry: one cache, two holders.
-/// assert_eq!(alias.get_query(&rect.key()).unwrap().indices, vec![2]);
-/// assert_eq!(alias.len(), 1);
+/// let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 10.0)]);
+/// let view = NumericView::new(mapper, vec![1.0, 5.0, 9.0], vec![0, 1, 2]);
+/// let cache = SharedRegionCache::new();
+/// let mut a = ExtractionEngine::new(view, IndexKind::Scan);
+/// a.set_shared_cache(cache.clone());
+/// let mut b = a.fork_session(); // holds a clone of the same handle
+///
+/// let rect = Rect::new(vec![0.0], vec![6.0]);
+/// assert_eq!(a.query_in(&rect), vec![0, 1]); // miss: `a` scans the view
+/// // A full query result serves count lookups for free, for every holder.
+/// assert_eq!(b.count_in(&rect), 2);
+/// assert_eq!(b.stats().tuples_examined, 0);
+/// // Keyed on the exact f64 bit pattern: a bit-different rectangle is a
+/// // different region, so it misses.
+/// b.count_in(&Rect::new(vec![0.0], vec![6.0 + 1e-12]));
+/// assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
+/// assert_eq!(cache.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedRegionCache {
-    inner: Arc<Mutex<RegionCache>>,
+    inner: Arc<Mutex<CacheState>>,
 }
 
 impl SharedRegionCache {
-    /// An empty shared cache.
+    /// Hard cap on cached rectangles. The steering loop's working set is
+    /// tiny (hundreds of distinct rectangles per session); the cap only
+    /// bounds memory under adversarial workloads. Once full, new results
+    /// are simply not cached — entries are never evicted, so a cached
+    /// answer stays cached (which keeps hit patterns deterministic).
+    pub const MAX_ENTRIES: usize = 1 << 16;
+
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegionCache> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, CacheState> {
         self.inner.lock().expect("region cache is never poisoned")
-    }
-
-    /// Whether two handles refer to the same underlying cache.
-    pub fn same_cache(&self, other: &SharedRegionCache) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Cached rectangles.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// Whether nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().entries.is_empty()
     }
 
     /// Aggregate hit/miss counters across every holder.
     pub fn stats(&self) -> CacheStats {
-        self.lock().stats()
-    }
-
-    /// Looks up the full query result for a rectangle key, tallying a
-    /// hit or miss on the shared counters.
-    pub fn get_query(&self, key: &RectKey) -> Option<Arc<QueryOutput>> {
-        self.lock().get_query(key)
-    }
-
-    /// Looks up a count, tallying a hit or miss on the shared counters.
-    pub fn get_count(&self, key: &RectKey) -> Option<CountOutput> {
-        self.lock().get_count(key)
-    }
-
-    /// Memoizes a full query result.
-    pub fn put_query(&self, rect: &Rect, out: Arc<QueryOutput>) {
-        self.lock().put_query(rect, out);
-    }
-
-    /// Memoizes a count-only result.
-    pub fn put_count(&self, rect: &Rect, out: CountOutput) {
-        self.lock().put_count(rect, out);
+        self.lock().stats
     }
 }
 
@@ -262,7 +203,7 @@ mod tests {
 
     #[test]
     fn query_results_are_memoized_and_serve_counts() {
-        let mut c = RegionCache::new();
+        let mut c = CacheState::default();
         let r = rect(5.0);
         assert!(c.get_query(&r.key()).is_none());
         c.put_query(&r, query_out(4));
@@ -272,12 +213,12 @@ mod tests {
         let count = c.get_count(&r.key()).expect("derived count");
         assert_eq!(count.count, 4);
         assert_eq!(count.examined, 12);
-        assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
+        assert_eq!(c.stats, CacheStats { hits: 2, misses: 1 });
     }
 
     #[test]
     fn count_only_entries_do_not_answer_queries() {
-        let mut c = RegionCache::new();
+        let mut c = CacheState::default();
         let r = rect(1.0);
         c.put_count(&r, CountOutput { count: 7, examined: 9 });
         assert_eq!(c.get_count(&r.key()).unwrap().count, 7);
@@ -289,10 +230,10 @@ mod tests {
 
     #[test]
     fn distinct_rectangles_do_not_collide() {
-        let mut c = RegionCache::new();
+        let mut c = CacheState::default();
         c.put_query(&rect(1.0), query_out(1));
         c.put_query(&rect(2.0), query_out(2));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.get_query(&rect(1.0).key()).unwrap().indices.len(), 1);
         assert_eq!(c.get_query(&rect(2.0).key()).unwrap().indices.len(), 2);
     }
@@ -301,28 +242,16 @@ mod tests {
     fn shared_cache_is_one_cache_with_aggregate_stats() {
         let a = SharedRegionCache::new();
         let b = a.clone();
-        assert!(a.same_cache(&b));
-        assert!(!a.same_cache(&SharedRegionCache::new()));
         assert!(a.is_empty());
         let r = rect(3.0);
-        assert!(a.get_query(&r.key()).is_none()); // miss via a
-        b.put_query(&r, query_out(2));
-        assert_eq!(a.get_query(&r.key()).unwrap().indices.len(), 2); // hit via a
-        assert_eq!(b.get_count(&r.key()).unwrap().count, 2); // hit via b
+        assert!(a.lock().get_query(&r.key()).is_none()); // miss via a
+        b.lock().put_query(&r, query_out(2));
+        assert_eq!(a.lock().get_query(&r.key()).unwrap().indices.len(), 2); // hit via a
+        assert_eq!(b.lock().get_count(&r.key()).unwrap().count, 2); // hit via b
         assert_eq!(a.len(), 1);
         // One counter set, shared by every holder.
         assert_eq!(a.stats(), CacheStats { hits: 2, misses: 1 });
         assert_eq!(b.stats(), a.stats());
-    }
-
-    #[test]
-    fn stats_reset_keeps_entries() {
-        let mut c = RegionCache::new();
-        c.put_query(&rect(1.0), query_out(1));
-        let _ = c.get_query(&rect(1.0).key());
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.len(), 1);
-        assert!(c.get_query(&rect(1.0).key()).is_some());
+        assert!(SharedRegionCache::new().is_empty(), "a new handle is a new cache");
     }
 }

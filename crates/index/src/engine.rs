@@ -9,10 +9,10 @@
 //! Two optimizations sit between the phases and the raw
 //! [`RegionIndex`]:
 //!
-//! * a [`RegionCache`](crate::RegionCache) memoizing results per exact
-//!   rectangle (the view is immutable, so entries never go stale); a hit
-//!   still counts as an extraction query but charges **zero**
-//!   `tuples_examined` — the paper's cost model counts real work;
+//! * a [`SharedRegionCache`] memoizing results per exact rectangle (the
+//!   view and index never change after construction, so entries never go
+//!   stale); a hit still counts as an extraction query but charges
+//!   **zero** `tuples_examined` — the paper's cost model counts real work;
 //! * a **batch layer** ([`ExtractionEngine::query_batch_outputs`],
 //!   [`ExtractionEngine::count_batch`]) that answers a whole phase's
 //!   sampling areas in one [`Pool`](aide_util::par::Pool) pass, results
@@ -31,9 +31,8 @@ use aide_util::par::Pool;
 use aide_util::rng::{Rng, Xoshiro256pp};
 use aide_util::trace::Tracer;
 
-use crate::{
-    CountOutput, GridIndex, QueryOutput, RegionCache, RegionIndex, ScanIndex, SharedRegionCache,
-};
+use crate::cache::CacheState;
+use crate::{CountOutput, GridIndex, QueryOutput, RegionIndex, ScanIndex, SharedRegionCache};
 
 /// Which access path the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,54 +74,68 @@ pub struct ExtractionStats {
     pub elapsed: Duration,
 }
 
-/// The engine's region cache: owned by this engine (the default) or a
-/// handle to a [`SharedRegionCache`] shared with other engines over the
-/// same view. The method surface mirrors [`RegionCache`]'s so every call
-/// site is slot-agnostic; which slot is active changes only cost
-/// accounting, never results.
-enum CacheSlot {
-    Owned(RegionCache),
-    Shared(SharedRegionCache),
+impl ExtractionStats {
+    /// Books a query served from the cache: it still counts as an
+    /// extraction query, but no tuple was re-examined.
+    fn book_hit(&mut self, returned: usize) {
+        self.queries += 1;
+        self.cache_hits += 1;
+        self.tuples_returned += returned as u64;
+    }
+
+    /// Books a query that ran against the index.
+    fn book_miss(&mut self, examined: usize, returned: usize) {
+        self.queries += 1;
+        self.cache_misses += 1;
+        self.tuples_examined += examined as u64;
+        self.tuples_returned += returned as u64;
+    }
 }
 
-impl CacheSlot {
-    fn get_query(&mut self, key: &RectKey) -> Option<Arc<QueryOutput>> {
-        match self {
-            CacheSlot::Owned(c) => c.get_query(key),
-            CacheSlot::Shared(c) => c.get_query(key),
-        }
+/// One kind of cached answer — a full query result or a count. The
+/// single-rect path ([`ExtractionEngine::fetch`]) and the batch path
+/// ([`ExtractionEngine::resolve_batch`]) apply one cache policy to both.
+trait Answer: Clone + Send + Sync {
+    fn lookup(cache: &mut CacheState, key: &RectKey) -> Option<Self>;
+    fn compute(index: &dyn RegionIndex, view: &NumericView, rect: &Rect) -> Self;
+    fn store(cache: &mut CacheState, rect: &Rect, out: Self);
+    /// `(examined, returned)`: the tuples a miss on this answer books.
+    fn cost(&self) -> (usize, usize);
+}
+
+impl Answer for Arc<QueryOutput> {
+    fn lookup(cache: &mut CacheState, key: &RectKey) -> Option<Self> {
+        cache.get_query(key)
     }
 
-    fn get_count(&mut self, key: &RectKey) -> Option<CountOutput> {
-        match self {
-            CacheSlot::Owned(c) => c.get_count(key),
-            CacheSlot::Shared(c) => c.get_count(key),
-        }
+    fn compute(index: &dyn RegionIndex, view: &NumericView, rect: &Rect) -> Self {
+        Arc::new(index.query(view, rect))
     }
 
-    fn put_query(&mut self, rect: &Rect, out: Arc<QueryOutput>) {
-        match self {
-            CacheSlot::Owned(c) => c.put_query(rect, out),
-            CacheSlot::Shared(c) => c.put_query(rect, out),
-        }
+    fn store(cache: &mut CacheState, rect: &Rect, out: Self) {
+        cache.put_query(rect, out);
     }
 
-    fn put_count(&mut self, rect: &Rect, out: CountOutput) {
-        match self {
-            CacheSlot::Owned(c) => c.put_count(rect, out),
-            CacheSlot::Shared(c) => c.put_count(rect, out),
-        }
+    fn cost(&self) -> (usize, usize) {
+        (self.examined, self.indices.len())
+    }
+}
+
+impl Answer for CountOutput {
+    fn lookup(cache: &mut CacheState, key: &RectKey) -> Option<Self> {
+        cache.get_count(key)
     }
 
-    fn len(&self) -> usize {
-        match self {
-            CacheSlot::Owned(c) => c.len(),
-            CacheSlot::Shared(c) => c.len(),
-        }
+    fn compute(index: &dyn RegionIndex, view: &NumericView, rect: &Rect) -> Self {
+        index.count(view, rect)
     }
 
-    fn is_shared(&self) -> bool {
-        matches!(self, CacheSlot::Shared(_))
+    fn store(cache: &mut CacheState, rect: &Rect, out: Self) {
+        cache.put_count(rect, out);
+    }
+
+    fn cost(&self) -> (usize, usize) {
+        (self.examined, self.count)
     }
 }
 
@@ -130,15 +143,14 @@ impl CacheSlot {
 pub struct ExtractionEngine {
     view: Arc<NumericView>,
     /// Shared so [`ExtractionEngine::fork_session`] can hand the built
-    /// index to per-session engines without rebuilding; only `&self`
-    /// query/count calls run after construction, and `append_rows`
-    /// replaces the whole handle.
+    /// index to per-session engines without rebuilding. Neither the view
+    /// nor the index changes after construction, which is what lets every
+    /// holder of `cache` trust its entries forever.
     index: Arc<dyn RegionIndex>,
     kind: IndexKind,
     stats: ExtractionStats,
     pool: Pool,
-    cache: CacheSlot,
-    cache_enabled: bool,
+    cache: SharedRegionCache,
     tracer: Tracer,
 }
 
@@ -149,7 +161,6 @@ impl std::fmt::Debug for ExtractionEngine {
             .field("dims", &self.view.dims())
             .field("index", &self.index.name())
             .field("threads", &self.pool.threads())
-            .field("cache_enabled", &self.cache_enabled)
             .field("cached_rects", &self.cache.len())
             .field("stats", &self.stats)
             .finish()
@@ -170,8 +181,9 @@ impl ExtractionEngine {
     }
 
     /// Builds an engine over a shared view, constructing the index on an
-    /// explicit worker pool (kept for batch calls). Indexes and batch
-    /// results are identical for any thread count.
+    /// explicit worker pool (kept for batch calls) and starting with a
+    /// fresh, empty region cache. Indexes and batch results are identical
+    /// for any thread count.
     pub fn from_arc_with(view: Arc<NumericView>, kind: IndexKind, pool: &Pool) -> Self {
         let index: Arc<dyn RegionIndex> = Arc::from(build_index(&view, kind, pool));
         Self {
@@ -180,8 +192,7 @@ impl ExtractionEngine {
             kind,
             stats: ExtractionStats::default(),
             pool: *pool,
-            cache: CacheSlot::Owned(RegionCache::new()),
-            cache_enabled: true,
+            cache: SharedRegionCache::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -212,31 +223,6 @@ impl ExtractionEngine {
         self.pool = pool;
     }
 
-    /// Appends rows (normalized row-major data plus source row ids) to the
-    /// engine's view, rebuilds the whole index and clears the owned cache —
-    /// equivalent to a fresh engine over the extended view.
-    ///
-    /// If other handles to the view exist (see
-    /// [`ExtractionEngine::view_arc`]), the engine clones the view first
-    /// (copy-on-write); external handles keep seeing the pre-append rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine holding a [`SharedRegionCache`] (other holders'
-    /// cached results would go stale), or if `data.len()` is not a multiple
-    /// of the dimensionality or disagrees with `row_ids.len()`.
-    pub fn append_rows(&mut self, data: &[f64], row_ids: &[u32]) {
-        assert!(
-            !self.cache.is_shared(),
-            "append_rows is forbidden on an engine with a shared region \
-             cache: other holders' cached results would go stale, breaking \
-             the never-invalidate contract"
-        );
-        Arc::make_mut(&mut self.view).append_rows(data, row_ids);
-        self.index = Arc::from(build_index(&self.view, self.kind, &self.pool));
-        self.cache = CacheSlot::Owned(RegionCache::new());
-    }
-
     /// The tracer batch calls emit `wave` events to (disabled by default).
     /// Exploration phases also borrow it for their plan events.
     pub fn tracer(&self) -> &Tracer {
@@ -250,24 +236,14 @@ impl ExtractionEngine {
         self.tracer = tracer;
     }
 
-    /// Whether the region cache is consulted (on by default).
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Turns the region cache on or off. Turning it off stops lookups and
-    /// insertions but keeps existing entries for a later re-enable.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-    }
-
     /// Number of distinct rectangles currently cached.
     pub fn cached_regions(&self) -> usize {
         self.cache.len()
     }
 
-    /// Replaces this engine's owned region cache with a handle to a
-    /// cache shared with other engines over the same immutable view.
+    /// Replaces this engine's region-cache handle, typically with one
+    /// shared with other engines over the same view (the caller keeps a
+    /// clone to read aggregate counters).
     ///
     /// Sharing is safe by the never-invalidate contract (see
     /// [`SharedRegionCache`]): it changes which engine pays a miss, never
@@ -275,23 +251,14 @@ impl ExtractionEngine {
     /// hit/miss counters into [`ExtractionEngine::stats`]; the shared
     /// cache's [`SharedRegionCache::stats`] aggregates across holders.
     pub fn set_shared_cache(&mut self, cache: SharedRegionCache) {
-        self.cache = CacheSlot::Shared(cache);
+        self.cache = cache;
     }
 
-    /// The shared cache handle, when one is installed.
-    pub fn shared_cache(&self) -> Option<&SharedRegionCache> {
-        match &self.cache {
-            CacheSlot::Shared(c) => Some(c),
-            CacheSlot::Owned(_) => None,
-        }
-    }
-
-    /// Clones a lightweight per-session engine off this one: the view and
-    /// the built index are shared (`Arc`), the shared cache handle is
-    /// cloned when one is installed (a fresh owned cache otherwise), and
-    /// the stat counters start at zero. The fork inherits the access-path
-    /// kind, worker pool and cache-enable flag; its tracer starts
-    /// disabled (each session installs its own).
+    /// Clones a lightweight per-session engine off this one: the view,
+    /// the built index and the region cache are shared (the fork holds a
+    /// clone of this engine's cache handle), and the stat counters start
+    /// at zero. The fork inherits the access-path kind and worker pool;
+    /// its tracer starts disabled (each session installs its own).
     ///
     /// This is the server's session-spawn path: one index build and one
     /// region cache serve every concurrent session over the view.
@@ -302,11 +269,7 @@ impl ExtractionEngine {
             kind: self.kind,
             stats: ExtractionStats::default(),
             pool: self.pool,
-            cache: match &self.cache {
-                CacheSlot::Shared(c) => CacheSlot::Shared(c.clone()),
-                CacheSlot::Owned(_) => CacheSlot::Owned(RegionCache::new()),
-            },
-            cache_enabled: self.cache_enabled,
+            cache: self.cache.clone(),
             tracer: Tracer::disabled(),
         }
     }
@@ -320,24 +283,6 @@ impl ExtractionEngine {
     /// Cached results are kept — the cache never goes stale.
     pub fn reset_stats(&mut self) {
         self.stats = ExtractionStats::default();
-    }
-
-    /// Books a query served from the cache: it still counts as an
-    /// extraction query, but no tuple was re-examined.
-    fn book_hit(&mut self, returned: usize) {
-        self.stats.queries += 1;
-        self.stats.cache_hits += 1;
-        self.stats.tuples_returned += returned as u64;
-    }
-
-    /// Books a query that ran against the index.
-    fn book_miss(&mut self, examined: usize, returned: usize) {
-        self.stats.queries += 1;
-        self.stats.tuples_examined += examined as u64;
-        self.stats.tuples_returned += returned as u64;
-        if self.cache_enabled {
-            self.stats.cache_misses += 1;
-        }
     }
 
     /// Emits one `wave` trace event carrying this batch call's stat
@@ -361,26 +306,26 @@ impl ExtractionEngine {
         );
     }
 
-    /// The cached query path every single-rect entry point routes through.
-    fn fetch_query(&mut self, rect: &Rect) -> Arc<QueryOutput> {
-        if self.cache_enabled {
-            if let Some(hit) = self.cache.get_query(&rect.key()) {
-                self.book_hit(hit.indices.len());
-                return hit;
-            }
+    /// The cached single-rect path every single-rect entry point routes
+    /// through: a hit is served from the cache, a miss runs against the
+    /// index on the calling thread (never the pool) and is memoized.
+    fn fetch<A: Answer>(&mut self, rect: &Rect) -> A {
+        let hit = A::lookup(&mut self.cache.lock(), &rect.key());
+        if let Some(hit) = hit {
+            self.stats.book_hit(hit.cost().1);
+            return hit;
         }
-        let out = Arc::new(self.index.query(&self.view, rect));
-        self.book_miss(out.examined, out.indices.len());
-        if self.cache_enabled {
-            self.cache.put_query(rect, Arc::clone(&out));
-        }
+        let out = A::compute(&*self.index, &self.view, rect);
+        let (examined, returned) = out.cost();
+        self.stats.book_miss(examined, returned);
+        A::store(&mut self.cache.lock(), rect, out.clone());
         out
     }
 
     /// All view indices inside `rect` (one extraction query).
     pub fn query_in(&mut self, rect: &Rect) -> Vec<u32> {
         let start = Instant::now();
-        let out = self.fetch_query(rect);
+        let out: Arc<QueryOutput> = self.fetch(rect);
         let indices = out.indices.clone();
         self.stats.elapsed += start.elapsed();
         indices
@@ -391,19 +336,7 @@ impl ExtractionEngine {
     /// vector — density probes over large rectangles stay allocation-free.
     pub fn count_in(&mut self, rect: &Rect) -> usize {
         let start = Instant::now();
-        let out = if self.cache_enabled {
-            if let Some(hit) = self.cache.get_count(&rect.key()) {
-                self.book_hit(hit.count);
-                self.stats.elapsed += start.elapsed();
-                return hit.count;
-            }
-            let out = self.index.count(&self.view, rect);
-            self.cache.put_count(rect, out);
-            out
-        } else {
-            self.index.count(&self.view, rect)
-        };
-        self.book_miss(out.examined, out.count);
+        let out: CountOutput = self.fetch(rect);
         self.stats.elapsed += start.elapsed();
         out.count
     }
@@ -443,7 +376,7 @@ impl ExtractionEngine {
             return Vec::new();
         }
         let start = Instant::now();
-        let out = self.fetch_query(rect);
+        let out: Arc<QueryOutput> = self.fetch(rect);
         let samples = self.select_excluding(&out, n, rng, excluded);
         self.stats.elapsed += start.elapsed();
         samples
@@ -521,27 +454,29 @@ impl ExtractionEngine {
         }
     }
 
-    /// Answers every rectangle in one pool pass, results in input order.
+    /// The batch policy behind [`ExtractionEngine::query_batch_outputs`]
+    /// and [`ExtractionEngine::count_batch`], results in input order.
     ///
-    /// With the cache enabled, previously seen rectangles are served from
-    /// it and bit-identical duplicates *within* the batch run once: the
-    /// first occurrence is the miss, later ones are hits — exactly the
-    /// accounting a serial loop over [`ExtractionEngine::query_in`] would
-    /// produce. With the cache disabled every rectangle runs against the
-    /// index, again matching the serial loop.
-    pub fn query_batch_outputs(&mut self, rects: &[Rect]) -> Vec<Arc<QueryOutput>> {
+    /// Previously seen rectangles are served from the cache, and
+    /// bit-identical duplicates *within* the batch run once: the first
+    /// occurrence is the miss, later ones are hits — exactly the
+    /// accounting a serial loop of single-rect calls would produce. The
+    /// misses run in one pool pass and are then booked and memoized. The
+    /// cache lock is taken once for all lookups and once for all inserts.
+    fn resolve_batch<A: Answer>(&mut self, rects: &[Rect]) -> Vec<A> {
         let start = Instant::now();
         let before = self.stats;
-        let mut results: Vec<Option<Arc<QueryOutput>>> = vec![None; rects.len()];
+        let mut results: Vec<Option<A>> = vec![None; rects.len()];
         // dup_of[i] = earlier batch position with a bit-identical rect.
         let mut dup_of: Vec<Option<usize>> = vec![None; rects.len()];
         let mut misses: Vec<usize> = Vec::new();
-        if self.cache_enabled {
+        {
+            let mut cache = self.cache.lock();
             let mut first_seen: HashMap<RectKey, usize> = HashMap::new();
             for (i, rect) in rects.iter().enumerate() {
                 let key = rect.key();
-                if let Some(hit) = self.cache.get_query(&key) {
-                    self.book_hit(hit.indices.len());
+                if let Some(hit) = A::lookup(&mut cache, &key) {
+                    self.stats.book_hit(hit.cost().1);
                     results[i] = Some(hit);
                 } else if let Some(&j) = first_seen.get(&key) {
                     dup_of[i] = Some(j);
@@ -550,31 +485,30 @@ impl ExtractionEngine {
                     misses.push(i);
                 }
             }
-        } else {
-            misses.extend(0..rects.len());
         }
 
         // The parallel pass: RNG-free index queries only, one work item
         // per cache miss. Chunk size 1 and chunk-index-order reassembly
         // keep results in input order for any thread count.
-        let pool = self.pool;
-        let (view, index) = (&self.view, &self.index);
-        let fresh: Vec<Arc<QueryOutput>> = pool.par_map_collect(misses.len(), 1, |r| {
-            r.map(|m| Arc::new(index.query(view, &rects[misses[m]])))
+        let (view, index) = (&*self.view, &*self.index);
+        let fresh: Vec<A> = self.pool.par_map_collect(misses.len(), 1, |r| {
+            r.map(|m| A::compute(index, view, &rects[misses[m]]))
                 .collect()
         });
 
-        for (out, &i) in fresh.iter().zip(&misses) {
-            self.book_miss(out.examined, out.indices.len());
-            if self.cache_enabled {
-                self.cache.put_query(&rects[i], Arc::clone(out));
+        {
+            let mut cache = self.cache.lock();
+            for (out, &i) in fresh.into_iter().zip(&misses) {
+                let (examined, returned) = out.cost();
+                self.stats.book_miss(examined, returned);
+                A::store(&mut cache, &rects[i], out.clone());
+                results[i] = Some(out);
             }
-            results[i] = Some(Arc::clone(out));
         }
         for i in 0..rects.len() {
             if let Some(j) = dup_of[i] {
                 let out = results[j].clone().expect("first occurrence resolved");
-                self.book_hit(out.indices.len());
+                self.stats.book_hit(out.cost().1);
                 results[i] = Some(out);
             }
         }
@@ -584,6 +518,13 @@ impl ExtractionEngine {
             .into_iter()
             .map(|r| r.expect("every rect resolved"))
             .collect()
+    }
+
+    /// Answers every rectangle in one pool pass, results in input order,
+    /// with costs (hit/miss pattern included) identical to a serial loop
+    /// over [`ExtractionEngine::query_in`].
+    pub fn query_batch_outputs(&mut self, rects: &[Rect]) -> Vec<Arc<QueryOutput>> {
+        self.resolve_batch(rects)
     }
 
     /// Batch variant of [`ExtractionEngine::query_in`]: all matching view
@@ -623,54 +564,9 @@ impl ExtractionEngine {
     /// input order, answered in one pool pass with the same cache and
     /// duplicate handling as [`ExtractionEngine::query_batch_outputs`].
     pub fn count_batch(&mut self, rects: &[Rect]) -> Vec<usize> {
-        let start = Instant::now();
-        let before = self.stats;
-        let mut results: Vec<Option<CountOutput>> = vec![None; rects.len()];
-        let mut dup_of: Vec<Option<usize>> = vec![None; rects.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        if self.cache_enabled {
-            let mut first_seen: HashMap<RectKey, usize> = HashMap::new();
-            for (i, rect) in rects.iter().enumerate() {
-                let key = rect.key();
-                if let Some(hit) = self.cache.get_count(&key) {
-                    self.book_hit(hit.count);
-                    results[i] = Some(hit);
-                } else if let Some(&j) = first_seen.get(&key) {
-                    dup_of[i] = Some(j);
-                } else {
-                    first_seen.insert(key, i);
-                    misses.push(i);
-                }
-            }
-        } else {
-            misses.extend(0..rects.len());
-        }
-
-        let pool = self.pool;
-        let (view, index) = (&self.view, &self.index);
-        let fresh: Vec<CountOutput> = pool.par_map_collect(misses.len(), 1, |r| {
-            r.map(|m| index.count(view, &rects[misses[m]])).collect()
-        });
-
-        for (&out, &i) in fresh.iter().zip(&misses) {
-            self.book_miss(out.examined, out.count);
-            if self.cache_enabled {
-                self.cache.put_count(&rects[i], out);
-            }
-            results[i] = Some(out);
-        }
-        for i in 0..rects.len() {
-            if let Some(j) = dup_of[i] {
-                let out = results[j].expect("first occurrence resolved");
-                self.book_hit(out.count);
-                results[i] = Some(out);
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-        self.trace_wave(rects.len(), before, start);
-        results
+        self.resolve_batch::<CountOutput>(rects)
             .into_iter()
-            .map(|r| r.expect("every rect resolved").count)
+            .map(|out| out.count)
             .collect()
     }
 
@@ -781,16 +677,15 @@ mod tests {
     fn stats_accumulate_and_reset() {
         let view = grid_view(10);
         let mut engine = ExtractionEngine::new(view, IndexKind::Scan);
-        engine.set_cache_enabled(false); // pre-cache accounting
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let rect = Rect::full_domain(2);
-        engine.sample_in(&rect, 5, &mut rng);
-        engine.count_in(&rect);
+        engine.sample_in(&rect, 5, &mut rng); // miss: scans all 100 points
+        engine.count_in(&rect); // hit: served off the cached query result
         let stats = engine.stats();
         assert_eq!(stats.queries, 2);
-        assert_eq!(stats.tuples_examined, 200);
+        assert_eq!(stats.tuples_examined, 100);
         assert_eq!(stats.tuples_returned, 200);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
         engine.reset_stats();
         assert_eq!(engine.stats(), ExtractionStats::default());
     }
@@ -833,18 +728,22 @@ mod tests {
         let view = grid_view(20);
         let rect = Rect::new(vec![0.0, 0.0], vec![40.0, 40.0]);
         let mut cached = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-        let mut plain = ExtractionEngine::new(view, IndexKind::Grid);
-        plain.set_cache_enabled(false);
+        // Cold reference: every call runs on a fork with a fresh cache.
+        let template = ExtractionEngine::new(view, IndexKind::Grid);
+        let mut cold_examined = 0;
         let mut rng_a = Xoshiro256pp::seed_from_u64(7);
         let mut rng_b = Xoshiro256pp::seed_from_u64(7);
         for _ in 0..3 {
+            let mut cold = template.fork_session();
+            cold.set_shared_cache(SharedRegionCache::new());
             let a = cached.sample_in(&rect, 6, &mut rng_a);
-            let b = plain.sample_in(&rect, 6, &mut rng_b);
+            let b = cold.sample_in(&rect, 6, &mut rng_b);
             assert_eq!(a, b);
+            assert_eq!(cold.stats().cache_hits, 0);
+            cold_examined += cold.stats().tuples_examined;
         }
         assert_eq!(cached.stats().cache_hits, 2);
-        assert_eq!(plain.stats().cache_hits, 0);
-        assert!(cached.stats().tuples_examined < plain.stats().tuples_examined);
+        assert!(cached.stats().tuples_examined < cold_examined);
     }
 
     #[test]
@@ -975,7 +874,8 @@ mod tests {
         let want = lone.sample_in(&rect, 6, &mut rng_l);
 
         let mut host = ExtractionEngine::new(view, IndexKind::Grid);
-        host.set_shared_cache(SharedRegionCache::new());
+        let shared = SharedRegionCache::new();
+        host.set_shared_cache(shared.clone());
         let mut a = host.fork_session();
         let mut b = host.fork_session();
         let mut rng_a = Xoshiro256pp::seed_from_u64(7);
@@ -989,32 +889,24 @@ mod tests {
         assert_eq!(b.stats().cache_hits, 1);
         assert_eq!(b.stats().tuples_examined, 0);
         // The shared counters aggregate across holders.
-        let shared = host.shared_cache().expect("installed").clone();
-        assert!(a.shared_cache().unwrap().same_cache(&shared));
         assert_eq!(shared.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(shared.len(), 1);
     }
 
     #[test]
-    fn fork_without_shared_cache_gets_a_fresh_owned_cache() {
+    fn a_fork_shares_its_parents_cache() {
         let view = grid_view(10);
         let mut host = ExtractionEngine::new(view, IndexKind::Grid);
         host.query_in(&Rect::full_domain(2));
         assert_eq!(host.cached_regions(), 1);
         let mut fork = host.fork_session();
-        assert!(fork.shared_cache().is_none());
-        assert_eq!(fork.cached_regions(), 0);
+        assert_eq!(fork.cached_regions(), 1, "the fork sees the parent's entry");
         fork.query_in(&Rect::full_domain(2));
-        assert_eq!(fork.stats().cache_misses, 1, "fork starts cold");
-    }
-
-    #[test]
-    #[should_panic(expected = "append_rows is forbidden")]
-    fn append_rows_refuses_a_shared_cache() {
-        let view = grid_view(5);
-        let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
-        engine.set_shared_cache(SharedRegionCache::new());
-        engine.append_rows(&[1.0, 1.0], &[999]);
+        assert_eq!(fork.stats().cache_hits, 1);
+        assert_eq!(fork.stats().tuples_examined, 0);
+        // Entries the fork adds are visible to the parent too.
+        fork.count_in(&Rect::new(vec![0.0, 0.0], vec![50.0, 50.0]));
+        assert_eq!(host.cached_regions(), 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod engine;
 pub mod grid;
 pub mod scan;
 
-pub use cache::{CacheStats, RegionCache, SharedRegionCache};
+pub use cache::{CacheStats, SharedRegionCache};
 pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
 pub use grid::GridIndex;
 pub use scan::ScanIndex;

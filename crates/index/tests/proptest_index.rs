@@ -7,10 +7,12 @@ use std::sync::Arc;
 
 use aide_data::view::{Domain, SpaceMapper};
 use aide_data::NumericView;
-use aide_index::{ExtractionEngine, GridIndex, IndexKind, QueryOutput, RegionIndex, ScanIndex};
+use aide_index::{
+    ExtractionEngine, GridIndex, IndexKind, QueryOutput, RegionIndex, ScanIndex, SharedRegionCache,
+};
 use aide_testkit::prop::gen;
 use aide_testkit::{forall, prop_assert, prop_assert_eq};
-use aide_util::geom::Rect;
+use aide_util::geom::{Rect, RectKey};
 use aide_util::par::Pool;
 use aide_util::rng::{Rng as _, Xoshiro256pp};
 
@@ -43,6 +45,14 @@ fn rect_from((a, b): &((f64, f64), (f64, f64))) -> Rect {
         vec![a.0.min(b.0), a.1.min(b.1)],
         vec![a.0.max(b.0), a.1.max(b.1)],
     )
+}
+
+/// The bare access path an engine of `kind` queries, built directly.
+fn direct_index(view: &NumericView, kind: IndexKind) -> Box<dyn RegionIndex> {
+    match kind {
+        IndexKind::Grid => Box::new(GridIndex::build(view)),
+        IndexKind::Scan => Box::new(ScanIndex::new()),
+    }
 }
 
 forall! {
@@ -91,12 +101,12 @@ forall! {
         }
     }
 
-    /// The batched, cached engine is indistinguishable from a fresh
-    /// serial engine: for an arbitrary rect set, sample sizes, seed and
+    /// The batched, cached engine is indistinguishable from the bare
+    /// access path: for an arbitrary rect set, sample sizes, seed and
     /// thread count, `query_batch_outputs` + `select_batch_streams` and
     /// `count_batch` return bit-identical samples and counts — and leave
-    /// the RNG in the same state — as serial `query_in` results on an
-    /// engine with no cache, selected on the same pre-split streams, for
+    /// the RNG in the same state — as `RegionIndex::query`/`count` on a
+    /// directly built index, selected on the same pre-split streams, for
     /// both access paths. A second, fully warm batch must agree too.
     fn batched_cached_engine_matches_fresh_serial_engine(
         points in points_gen(),
@@ -109,24 +119,18 @@ forall! {
         let wants: Vec<usize> = (0..rects.len()).map(|i| (n + i) % 20).collect();
         let excluded = HashSet::new();
         for kind in [IndexKind::Grid, IndexKind::Scan] {
-            // Reference: cache off, serial pool, one query per call.
-            let mut serial = ExtractionEngine::new(view_from(&points), kind);
-            serial.set_pool(Pool::serial());
-            serial.set_cache_enabled(false);
-            let outputs: Vec<Arc<QueryOutput>> = rects
-                .iter()
-                .map(|r| {
-                    Arc::new(QueryOutput {
-                        indices: serial.query_in(r),
-                        examined: 0,
-                    })
-                })
-                .collect();
+            // Reference: the access path itself, one query per rect, no cache.
+            let view = view_from(&points);
+            let index = direct_index(&view, kind);
+            let outputs: Vec<Arc<QueryOutput>> =
+                rects.iter().map(|r| Arc::new(index.query(&view, r))).collect();
+            let expected_counts: Vec<usize> =
+                rects.iter().map(|r| index.count(&view, r).count).collect();
+            let selector = ExtractionEngine::new(view, kind);
             let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
-            let expected = serial.select_batch_streams(&outputs, &wants, &mut rng_s, &excluded);
-            let expected_counts: Vec<usize> = rects.iter().map(|r| serial.count_in(r)).collect();
+            let expected = selector.select_batch_streams(&outputs, &wants, &mut rng_s, &excluded);
 
-            // Subject: cache on (default), explicit multi-thread pool.
+            // Subject: cached engine, explicit multi-thread pool.
             let mut batched = ExtractionEngine::new(view_from(&points), kind);
             batched.set_pool(Pool::new(threads));
             let mut rng_b = Xoshiro256pp::seed_from_u64(seed);
@@ -169,7 +173,6 @@ forall! {
             // active request serially with its own stream.
             let mut serial = ExtractionEngine::new(view_from(&points), kind);
             serial.set_pool(Pool::serial());
-            serial.set_cache_enabled(false);
             let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
             let active: Vec<usize> = (0..wants.len()).filter(|&i| wants[i] > 0).collect();
             let mut streams = rng_s.split_streams(active.len());
@@ -276,49 +279,124 @@ forall! {
         }
     }
 
-    /// Growing an engine with `append_rows` is observationally identical
-    /// to building a fresh engine over the concatenated data — for both
-    /// access paths and any thread count, and regardless of how the rows
-    /// are split between the initial build and the append. Counts and
-    /// samples are bit-identical: the append rebuilds the whole index (at
-    /// the grown view's grid resolution) and drops the stale cache.
-    fn appended_engine_matches_fresh_engine(
+    /// A shared, warm region cache is invisible. Two forks of one engine
+    /// share its cache and run an interleaved sequence of `query_in`,
+    /// `count_in`, `sample_in_excluding`, `query_batch_outputs` +
+    /// `select_batch_streams` and `count_batch` calls over a small rect
+    /// pool, so rectangles repeat within calls, across calls and across
+    /// forks. Every answer — indices, counts, samples and each fork's RNG
+    /// state — equals a cold-cache reference (the bare access path, or a
+    /// fork with a fresh cache where selection is involved), and the
+    /// hit/miss pattern follows a model of the cache: a hit charges 0
+    /// `tuples_examined`, a miss charges what the access path examines.
+    fn shared_warm_cache_answers_like_a_cold_cache(
         points in points_gen(),
-        extra in points_gen(),
-        all_corners in gen::vec_of(rect_corners(), 0..4),
-        n in gen::usize_in(0..20),
+        pool_corners in gen::vec_of(rect_corners(), 1..5),
+        ops in gen::vec_of(
+            (gen::usize_in(0..5), gen::usize_in(0..64), gen::any_bool(), gen::usize_in(0..12)),
+            0..24,
+        ),
         seed in gen::any_u64(),
         threads in gen::usize_in(1..5),
     ) {
-        let mut all = points.clone();
-        all.extend_from_slice(&extra);
-        let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
-        let appended_data: Vec<f64> = extra.iter().flat_map(|&(x, y)| [x, y]).collect();
-        let appended_ids: Vec<u32> = (points.len()..all.len()).map(|i| i as u32).collect();
+        let pool_rects: Vec<Rect> = pool_corners.iter().map(rect_from).collect();
+        let pick = |p: usize| pool_rects[p % pool_rects.len()].clone();
+        let excluded: HashSet<u32> = (0..points.len() as u32).filter(|i| i % 5 == 0).collect();
         for kind in [IndexKind::Grid, IndexKind::Scan] {
-            let mut fresh = ExtractionEngine::new(view_from(&all), kind);
-            fresh.set_pool(Pool::serial());
+            let view = Arc::new(view_from(&points));
+            let index = direct_index(&view, kind);
+            let mut template = ExtractionEngine::from_arc(Arc::clone(&view), kind);
+            template.set_pool(Pool::new(threads));
+            let mut forks = [template.fork_session(), template.fork_session()];
+            let cold = || {
+                let mut engine = template.fork_session();
+                engine.set_shared_cache(SharedRegionCache::new());
+                engine
+            };
+            let mut rngs = [
+                Xoshiro256pp::seed_from_u64(seed),
+                Xoshiro256pp::seed_from_u64(seed ^ 1),
+            ];
+            let mut ref_rngs = rngs.clone();
+            // The cache model: keys holding a full query result, and keys
+            // holding only a count.
+            let mut queried: HashSet<RectKey> = HashSet::new();
+            let mut counted: HashSet<RectKey> = HashSet::new();
+            for &(op, p, second, n) in &ops {
+                let f = usize::from(second);
+                let rects: Vec<Rect> = if op < 3 {
+                    vec![pick(p)]
+                } else {
+                    vec![pick(p), pick(p / 3), pick(p / 7)]
+                };
+                let is_query = matches!(op, 0 | 2 | 3);
+                let (mut hits, mut examined) = (0u64, 0u64);
+                for r in &rects {
+                    let key = r.key();
+                    if queried.contains(&key) || (!is_query && counted.contains(&key)) {
+                        hits += 1;
+                    } else if is_query {
+                        examined += index.query(&view, r).examined as u64;
+                        queried.insert(key);
+                    } else {
+                        examined += index.count(&view, r).examined as u64;
+                        counted.insert(key);
+                    }
+                }
 
-            let mut grown = ExtractionEngine::new(view_from(&points), kind);
-            grown.set_pool(Pool::new(threads));
-            // Warm the cache pre-append: stale hits would show up below.
-            for rect in &rects {
-                let _ = grown.count_in(rect);
-            }
-            grown.append_rows(&appended_data, &appended_ids);
-
-            let mut rng_f = Xoshiro256pp::seed_from_u64(seed);
-            let mut rng_g = Xoshiro256pp::seed_from_u64(seed);
-            for rect in &rects {
+                let before = forks[f].stats();
+                match op {
+                    0 => prop_assert_eq!(
+                        forks[f].query_in(&rects[0]),
+                        index.query(&view, &rects[0]).indices,
+                        "query_in on {:?}", kind
+                    ),
+                    1 => prop_assert_eq!(
+                        forks[f].count_in(&rects[0]),
+                        index.count(&view, &rects[0]).count,
+                        "count_in on {:?}", kind
+                    ),
+                    2 => {
+                        let got =
+                            forks[f].sample_in_excluding(&rects[0], n + 1, &mut rngs[f], &excluded);
+                        let want =
+                            cold().sample_in_excluding(&rects[0], n + 1, &mut ref_rngs[f], &excluded);
+                        prop_assert_eq!(got, want, "sample_in_excluding on {:?}", kind);
+                    }
+                    3 => {
+                        let wants: Vec<usize> = (0..rects.len()).map(|j| (n + j) % 12).collect();
+                        let outs = forks[f].query_batch_outputs(&rects);
+                        let got =
+                            forks[f].select_batch_streams(&outs, &wants, &mut rngs[f], &excluded);
+                        let mut reference = cold();
+                        let ref_outs = reference.query_batch_outputs(&rects);
+                        let want = reference.select_batch_streams(
+                            &ref_outs, &wants, &mut ref_rngs[f], &excluded,
+                        );
+                        prop_assert_eq!(got, want, "batch selection on {:?} t{}", kind, threads);
+                    }
+                    _ => {
+                        let want: Vec<usize> =
+                            rects.iter().map(|r| index.count(&view, r).count).collect();
+                        prop_assert_eq!(forks[f].count_batch(&rects), want, "count_batch");
+                    }
+                }
+                let after = forks[f].stats();
+                prop_assert_eq!(after.cache_hits - before.cache_hits, hits, "hits, op {}", op);
                 prop_assert_eq!(
-                    grown.count_in(rect),
-                    fresh.count_in(rect),
-                    "count diverges on {:?} t{}", kind, threads
+                    after.cache_misses - before.cache_misses,
+                    rects.len() as u64 - hits,
+                    "misses, op {}", op
                 );
                 prop_assert_eq!(
-                    grown.sample_in(rect, n, &mut rng_g),
-                    fresh.sample_in(rect, n, &mut rng_f),
-                    "samples diverge on {:?} t{}", kind, threads
+                    after.tuples_examined - before.tuples_examined,
+                    examined,
+                    "examined, op {}", op
+                );
+                prop_assert_eq!(
+                    rngs[f].clone().next_u64(),
+                    ref_rngs[f].clone().next_u64(),
+                    "RNG state of fork {} on {:?}", f, kind
                 );
             }
         }

@@ -13,6 +13,7 @@ none of its code:
                lo f64 bit pattern (u64 LE), hi f64 bit pattern (u64 LE)
                -- bounds finite, lo <= hi
     lanes      dims x n f64 bit patterns (u64 LE), lane-major
+               -- every value finite (no NaN, no +/-inf)
     row_ids    n u32 LE
     (exact EOF -- trailing bytes are an error)
 
@@ -24,14 +25,15 @@ Self-test
 
 ``--self-test`` builds a tiny valid file in memory plus corrupted
 variants (bad magic, zero dims, inverted domain, NaN bound, row count
-beyond the u32 row-id range, truncated lane, trailing garbage) and asserts the checker accepts exactly the
-valid one. CI runs it before validating real files so a broken checker
+beyond the u32 row-id range, NaN lane value, truncated lane, trailing
+garbage) and asserts the checker accepts exactly the valid one. CI runs it before validating real files so a broken checker
 cannot wave malformed datasets through.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import io
 import math
 import struct
@@ -53,6 +55,15 @@ def _take(buf: io.BufferedIOBase, size: int, what: str) -> bytes:
     if len(data) != size:
         raise FormatError(f"truncated while reading {what}")
     return data
+
+
+def _first_non_finite(values):
+    """Index of the first NaN or infinity in `values`, else None. A finite
+    sum proves every value finite, so the per-value scan runs only when the
+    sum is not (an overflowing sum of finite values falls through to it)."""
+    if math.isfinite(sum(values)):
+        return None
+    return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
 
 
 def validate(buf: io.BufferedIOBase):
@@ -82,12 +93,20 @@ def validate(buf: io.BufferedIOBase):
             raise FormatError(f"domain {d} [{lo}, {hi}] is not a finite ordered range")
         domains.append((lo, hi))
     for d in range(dims):
-        # Bit patterns are opaque (any f64, including NaN payloads, round-
-        # trips); only presence is checked, in streaming chunks.
+        # Streamed in chunks; every value must be a finite f64.
+        row = 0
         remaining = n * 8
         while remaining:
             step = min(remaining, 1 << 20)
-            _take(buf, step, f"lane {d}")
+            values = array.array("d", _take(buf, step, f"lane {d}"))
+            if sys.byteorder != "little":
+                values.byteswap()
+            bad = _first_non_finite(values)
+            if bad is not None:
+                raise FormatError(
+                    f"lane {d} ({names[d]!r}) holds non-finite value "
+                    f"{values[bad]} at row {row + bad}")
+            row += len(values)
             remaining -= step
     remaining = n * 4
     while remaining:
@@ -155,6 +174,7 @@ def self_test() -> int:
 
     nan_bits = struct.unpack("<Q", struct.pack("<d", math.nan))[0]
     domain0 = len(MAGIC) + 4 + 8 + 2 + 2  # after name "a0"
+    lane0 = len(MAGIC) + 4 + 8 + 2 * (2 + 2 + 16)  # after both attribute headers
     cases = [
         ("bad magic", lambda d: d.__setitem__(0, d[0] ^ 0xFF)),
         ("zero dims", lambda d: d.__setitem__(slice(12, 16), struct.pack("<I", 0))),
@@ -167,6 +187,10 @@ def self_test() -> int:
             d[domain0 + 8:domain0 + 16] + d[domain0:domain0 + 8])),
         ("nan bound", lambda d: d.__setitem__(
             slice(domain0, domain0 + 8), struct.pack("<Q", nan_bits))),
+        # Lane 1, row 2 (the sample holds 2 lanes of 5 rows).
+        ("nan lane value", lambda d: d.__setitem__(
+            slice(lane0 + 8 * 7, lane0 + 8 * 8), struct.pack("<Q", nan_bits)),
+            "non-finite value nan at row 2"),
         ("truncated lane", lambda d: d.__delitem__(slice(len(d) - 30, len(d)))),
         ("trailing garbage", lambda d: d.extend(b"\x00")),
     ]

@@ -44,7 +44,7 @@ SCHEMA = "aide-trace/1"
 EVENT_SCHEMA = {
     "session_start": (
         ["rows", "eval_rows", "dims", "samples_per_iteration", "strategy",
-         "index", "region_cache", "eval_every"], []),
+         "index", "eval_every"], []),
     "iter_start": (["iter"], []),
     "phase_start": (["iter", "phase"], []),
     "discovery_plan": (["iter", "phase", "strategy", "pending_areas",
@@ -221,8 +221,7 @@ def report(path):
         out.append(
             f"session: {start['rows']} rows x {start['dims']} dims, "
             f"strategy={start['strategy']}, index={start['index']}, "
-            f"batch={start['samples_per_iteration']}, "
-            f"cache={'on' if start['region_cache'] else 'off'}")
+            f"batch={start['samples_per_iteration']}")
     if head.get("dropped"):
         out.append(f"WARNING: ring buffer dropped {head['dropped']} events")
     out.append("")
@@ -292,8 +291,7 @@ def self_test():
         {"k": "trace_header", "schema": SCHEMA, "events": 8, "dropped": 0},
         {"k": "session_start", "t_us": 1, "rows": 10, "eval_rows": 10,
          "dims": 2, "samples_per_iteration": 5, "strategy": "grid",
-         "index": "grid", "region_cache": True,
-         "eval_every": 1},
+         "index": "grid", "eval_every": 1},
         {"k": "iter_start", "t_us": 2, "iter": 0},
         {"k": "phase_start", "t_us": 3, "iter": 0, "phase": "discovery"},
         {"k": "wave", "t_us": 4, "iter": 0, "phase": "discovery", "wave": 0,

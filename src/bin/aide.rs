@@ -464,7 +464,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     println!("listening on {local}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let host = Arc::new(aide::core::SessionHost::new(view, config));
-    aide::core::serve_listener(listener, host).map_err(|e| e.to_string())
+    aide::core::serve_listener(listener, host)
 }
 
 fn cmd_query(flags: &Flags) -> Result<(), String> {

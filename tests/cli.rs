@@ -174,3 +174,23 @@ fn bad_invocations_fail_with_usage() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("parse error"));
 }
+
+#[test]
+fn explore_rejects_non_finite_csv_cells_without_panicking() {
+    for cell in ["inf", "-inf", "NaN"] {
+        let csv = tmp_path(&format!("non_finite_{cell}.csv"));
+        std::fs::write(&csv, format!("x,y\n1.0,2.0\n2.0,{cell}\n3.0,4.0\n")).unwrap();
+        let out = aide()
+            .args(["explore", "--csv", csv.to_str().unwrap(), "--attrs", "x,y"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        std::fs::remove_file(&csv).ok();
+        assert_eq!(out.status.code(), Some(1), "{cell}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("CSV error at line 3: non-finite float"),
+            "{cell}: {}",
+            stderr(&out)
+        );
+    }
+}

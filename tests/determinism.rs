@@ -274,28 +274,3 @@ fn hybrid_fingerprint_is_thread_invariant() {
 fn adaptive_fingerprint_is_thread_invariant() {
     assert_matrix(3, &[1, 4]);
 }
-
-#[test]
-fn disabling_the_region_cache_changes_costs_but_not_labels() {
-    // `region_cache: false` restores the pre-cache accounting (every
-    // query re-examines tuples) while the labels, model and query counts
-    // stay bit-identical — the cache is purely a cost optimization.
-    let (cached, fp_cached) = run_session(SessionConfig::default());
-    let (plain, fp_plain) = run_session(SessionConfig {
-        region_cache: false,
-        ..SessionConfig::default()
-    });
-    assert_eq!(fp_cached.hash, fp_plain.hash);
-    assert_eq!(fp_cached.f_bits, fp_plain.f_bits);
-    assert_eq!(fp_cached.queries_total, fp_plain.queries_total);
-    let t_cached = cached.result().extraction_totals();
-    let t_plain = plain.result().extraction_totals();
-    assert_eq!(t_plain.cache_hits, 0);
-    assert_eq!(t_plain.cache_misses, 0);
-    assert!(
-        t_cached.tuples_examined < t_plain.tuples_examined,
-        "the cache saved no work: {} vs {}",
-        t_cached.tuples_examined,
-        t_plain.tuples_examined
-    );
-}
