@@ -2,13 +2,12 @@
 //! (one extraction query per cluster) vs one query per misclassified
 //! object.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use aide_bench::harness::{dense_view, sdss_table};
 use aide_core::misclassified::exploit_misclassified;
 use aide_core::{LabeledSet, MisclassState, SessionConfig};
-use aide_index::{ExtractionEngine, IndexKind, Sample};
+use aide_index::{Exclusions, ExtractionEngine, IndexKind, Sample};
 use aide_testkit::bench::Harness;
 use aide_util::rng::{Rng, Xoshiro256pp};
 
@@ -70,7 +69,7 @@ fn main() {
                         &[],
                         200,
                         &mut engine,
-                        &HashSet::new(),
+                        &Exclusions::none(),
                         &mut rng,
                         &mut MisclassState::default(),
                     )

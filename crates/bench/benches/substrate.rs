@@ -1,7 +1,7 @@
 //! Substrate microbenchmarks (not a paper figure): the cost drivers under
-//! every experiment — CART training, k-means, index construction and the
-//! two rectangle-query access paths (grid / full scan), plus
-//! SQL-query evaluation over the column store.
+//! every experiment — CART training, k-means, index construction, the
+//! two rectangle-query access paths (grid / full scan) and sample
+//! selection, plus SQL-query evaluation over the column store.
 
 use std::sync::Arc;
 
@@ -209,6 +209,26 @@ fn main() {
     group.bench("warm_cache_48rects", move || {
         warm_engine.query_batch(black_box(&warm_rects))
     });
+    drop(group);
+
+    // --- Sample selection -----------------------------------------------------
+    // One pick from a large cached grid result (the whole 200 k view) with
+    // no labeled rows and with 1 000 labeled rows spread over the view.
+    // Removing the labels costs O(labels · log); the draw itself still
+    // visits every candidate position once.
+    let mut group = h.group("substrate/select");
+    let mut select_engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
+    let whole = select_engine.query_batch_outputs(&[Rect::full_domain(2)]);
+    let stride = (view.len() / 1_000) as u32;
+    for labels in [0u32, 1_000] {
+        let excluded = select_engine.exclusions((0..labels).map(|k| k * stride));
+        let mut engine = select_engine.fork_session();
+        let outs = whole.clone();
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        group.bench(&format!("pick1_200k/e{labels}"), move || {
+            engine.select_batch_streams(black_box(&outs), &[1], &mut rng, &excluded)
+        });
+    }
     drop(group);
 
     // Observability guard, outside the timers: a warm batch over this

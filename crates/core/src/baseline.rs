@@ -80,12 +80,9 @@ pub fn run_random(
     for iteration in 0..stop.max_iterations {
         let start = std::time::Instant::now();
         engine.reset_stats();
-        let samples = engine.sample_in_excluding(
-            &full,
-            config.samples_per_iteration,
-            &mut rng,
-            labeled.seen_rows(),
-        );
+        let excluded = engine.exclusions(labeled.view_indices().iter().copied());
+        let samples =
+            engine.sample_in_excluding(&full, config.samples_per_iteration, &mut rng, &excluded);
         let mut new_samples = 0usize;
         for s in &samples {
             let label = user.label(&s.point);
@@ -207,13 +204,13 @@ pub fn run_uncertainty(
             .as_ref()
             .map(|t| t.relevant_regions(&full))
             .unwrap_or_default();
+        let excluded = engine.exclusions(labeled.view_indices().iter().copied());
         let samples = if regions.is_empty() {
-            engine.sample_in_excluding(&full, batch, &mut rng, labeled.seen_rows())
+            engine.sample_in_excluding(&full, batch, &mut rng, &excluded)
         } else {
             // Score the candidate pool and keep the most uncertain batch.
             let pool = pool_size.unwrap_or(usize::MAX);
-            let mut candidates =
-                engine.sample_in_excluding(&full, pool, &mut rng, labeled.seen_rows());
+            let mut candidates = engine.sample_in_excluding(&full, pool, &mut rng, &excluded);
             candidates.sort_by(|a, b| {
                 boundary_distance(&a.point, &regions)
                     .partial_cmp(&boundary_distance(&b.point, &regions))

@@ -19,9 +19,7 @@
 //! * the whole phase runs against whatever view the engine wraps, which
 //!   is how the *sampled-dataset* optimization plugs in.
 
-use std::collections::HashSet;
-
-use aide_index::{ExtractionEngine, Sample};
+use aide_index::{Exclusions, ExtractionEngine, Sample};
 use aide_util::geom::Rect;
 use aide_util::rng::Xoshiro256pp;
 
@@ -82,7 +80,7 @@ pub fn exploit_boundaries(
     previous_slabs: &[Rect],
     budget: usize,
     engine: &mut ExtractionEngine,
-    excluded: &HashSet<u32>,
+    excluded: &Exclusions,
     rng: &mut Xoshiro256pp,
 ) -> BoundaryOutcome {
     let mut outcome = BoundaryOutcome {
@@ -239,7 +237,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert!(!out.samples.is_empty());
@@ -275,7 +273,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         // With domain sampling, slabs for dim-0 faces span all of dim 1:
@@ -310,7 +308,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         for s in &out.samples {
@@ -362,7 +360,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert_eq!(first.slabs.len(), 4);
@@ -374,7 +372,7 @@ mod tests {
             &first.slabs,
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert!(second.slabs.is_empty(), "overlapping slabs were re-sampled");
@@ -400,7 +398,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert_eq!(out.slabs.len(), 2, "only the two interior faces sampled");
@@ -418,7 +416,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert!(out.samples.is_empty());
@@ -429,7 +427,7 @@ mod tests {
             &[],
             0,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
         );
         assert!(out.samples.is_empty());

@@ -15,10 +15,9 @@
 //! Both also honor the §3.1 hints: a *distance hint* chooses the starting
 //! grid level, a *range hint* restricts exploration to a sub-rectangle.
 
-use std::collections::HashSet;
 use std::collections::{HashMap, VecDeque};
 
-use aide_index::{ExtractionEngine, Sample};
+use aide_index::{Exclusions, ExtractionEngine, Sample};
 use aide_ml::KMeans;
 use aide_util::geom::Rect;
 use aide_util::rng::{Rng, Xoshiro256pp};
@@ -74,7 +73,7 @@ impl DiscoveryPhase {
         &mut self,
         budget: usize,
         engine: &mut ExtractionEngine,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
         rng: &mut Xoshiro256pp,
     ) -> Vec<Proposal> {
         if engine.tracer().is_enabled() {
@@ -275,7 +274,7 @@ impl GridDiscovery {
         &mut self,
         budget: usize,
         engine: &mut ExtractionEngine,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
         rng: &mut Xoshiro256pp,
     ) -> Vec<Proposal> {
         let mut out = Vec::with_capacity(budget);
@@ -457,7 +456,7 @@ impl HybridDiscovery {
         &mut self,
         budget: usize,
         engine: &mut ExtractionEngine,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
         rng: &mut Xoshiro256pp,
     ) -> Vec<Proposal> {
         self.maybe_switch();
@@ -609,7 +608,7 @@ impl ClusterDiscovery {
         &mut self,
         budget: usize,
         engine: &mut ExtractionEngine,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
         rng: &mut Xoshiro256pp,
     ) -> Vec<Proposal> {
         let mut out = Vec::with_capacity(budget);
@@ -741,11 +740,11 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
         assert_eq!(disc.pending_areas(), 16);
-        let proposals = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(proposals.len(), 16);
         // Every proposal comes from a distinct cell: pairwise distinct
         // cell coordinates ⇒ samples spread over the whole space.
-        let mut cells = HashSet::new();
+        let mut cells = std::collections::HashSet::new();
         for p in &proposals {
             let cx = (p.sample.point[0] / 25.0).floor() as i32;
             let cy = (p.sample.point[1] / 25.0).floor() as i32;
@@ -765,7 +764,7 @@ mod tests {
         };
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
-        let proposals = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         for p in &proposals {
             for d in 0..2 {
                 let cell_width = 25.0;
@@ -788,7 +787,7 @@ mod tests {
         let config = SessionConfig::default();
         let mut rng = Xoshiro256pp::seed_from_u64(6);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
-        let proposals = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(disc.pending_areas(), 0);
         // Mark the first cell relevant, the second irrelevant.
         disc.feedback(proposals[0].token.unwrap(), true);
@@ -806,7 +805,7 @@ mod tests {
         };
         let mut rng = Xoshiro256pp::seed_from_u64(8);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
-        let proposals = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         for p in proposals {
             disc.feedback(p.token.unwrap(), false);
         }
@@ -822,9 +821,9 @@ mod tests {
         };
         let mut rng = Xoshiro256pp::seed_from_u64(10);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
-        let first = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let first = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(first.len(), 16);
-        let fallback = disc.propose(5, &mut engine, &HashSet::new(), &mut rng);
+        let fallback = disc.propose(5, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(fallback.len(), 5);
         assert!(fallback.iter().all(|p| p.token.is_none()));
     }
@@ -844,7 +843,7 @@ mod tests {
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
         // Only the 2x2 block of level-0 cells intersecting the hint.
         assert_eq!(disc.pending_areas(), 4);
-        let proposals = disc.propose(16, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(16, &mut engine, &Exclusions::none(), &mut rng);
         for p in &proposals {
             assert!(range.contains(&p.sample.point), "sample outside hint");
         }
@@ -880,7 +879,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(31);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
         // First pass: all 8 cluster proposals labeled irrelevant.
-        let proposals = disc.propose(8, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(8, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(proposals.len(), 8);
         for p in &proposals {
             disc.feedback(p.token.unwrap(), false);
@@ -890,7 +889,7 @@ mod tests {
         };
         assert!(!h.switched_to_grid(), "switch is judged at next propose");
         // Next proposal round trips the hit-rate check and switches.
-        let _ = disc.propose(4, &mut engine, &HashSet::new(), &mut rng);
+        let _ = disc.propose(4, &mut engine, &Exclusions::none(), &mut rng);
         let DiscoveryPhase::Hybrid(h) = &disc else {
             panic!("expected hybrid phase");
         };
@@ -912,7 +911,7 @@ mod tests {
         };
         let mut rng = Xoshiro256pp::seed_from_u64(33);
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
-        let proposals = disc.propose(8, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(8, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(proposals.len(), 8);
         // Half the proposals relevant (hit rate 0.5 >> 0.05), the rest
         // irrelevant so zooming keeps the cluster queue non-empty.
@@ -920,7 +919,7 @@ mod tests {
             disc.feedback(p.token.unwrap(), i % 2 == 0);
         }
         assert!(disc.pending_areas() > 0, "zoom should refill the queue");
-        let _ = disc.propose(2, &mut engine, &HashSet::new(), &mut rng);
+        let _ = disc.propose(2, &mut engine, &Exclusions::none(), &mut rng);
         let DiscoveryPhase::Hybrid(h) = &disc else {
             panic!("expected hybrid phase");
         };
@@ -962,7 +961,7 @@ mod tests {
         };
         let mut disc = DiscoveryPhase::new(&config, &engine, &mut rng);
         assert_eq!(disc.pending_areas(), 8);
-        let proposals = disc.propose(8, &mut engine, &HashSet::new(), &mut rng);
+        let proposals = disc.propose(8, &mut engine, &Exclusions::none(), &mut rng);
         assert_eq!(proposals.len(), 8);
         // Most proposals land inside the two blobs.
         let in_blobs = proposals

@@ -1,8 +1,9 @@
 //! The accumulated training set of labeled samples.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 
+use aide_data::NumericView;
 use aide_index::Sample;
 use aide_ml::DecisionTree;
 
@@ -15,6 +16,7 @@ pub struct LabeledSet {
     data: Vec<f64>,
     labels: Vec<bool>,
     row_ids: Vec<u32>,
+    view_indices: Vec<u32>,
     seen: HashSet<u32>,
     relevant: usize,
 }
@@ -67,6 +69,7 @@ impl LabeledSet {
         self.data.extend_from_slice(&sample.point);
         self.labels.push(label);
         self.row_ids.push(sample.row_id);
+        self.view_indices.push(sample.view_index);
         if label {
             self.relevant += 1;
         }
@@ -93,9 +96,41 @@ impl LabeledSet {
         self.labels[i]
     }
 
-    /// Row ids of labeled samples (the exclusion set for extraction).
+    /// Row ids of labeled samples (what duplicate detection keys on).
     pub fn seen_rows(&self) -> &HashSet<u32> {
         &self.seen
+    }
+
+    /// View indices of labeled samples, in labeling order: the exclusion
+    /// set for extraction
+    /// ([`ExtractionEngine::exclusions`](aide_index::ExtractionEngine::exclusions)).
+    pub fn view_indices(&self) -> &[u32] {
+        &self.view_indices
+    }
+
+    /// Points each label's view index at the position of its row id in
+    /// `view` — needed for labels read back by [`LabeledSet::read_csv`],
+    /// which can only assume the position equals the row id. Labels whose
+    /// row is not in `view` get an index past its end, which excludes
+    /// nothing. Costs O(labels) when every assumed position holds its
+    /// row, plus one pass over `view`'s row ids otherwise.
+    pub fn bind_view(&mut self, view: &NumericView) {
+        let holds = |i: u32, row: u32| (i as usize) < view.len() && view.row_id(i as usize) == row;
+        let mut unbound: HashMap<u32, usize> = (0..self.len())
+            .filter(|&j| !holds(self.view_indices[j], self.row_ids[j]))
+            .map(|j| (self.row_ids[j], j))
+            .collect();
+        if unbound.is_empty() {
+            return;
+        }
+        for (i, &row) in view.row_ids().iter().enumerate() {
+            if let Some(j) = unbound.remove(&row) {
+                self.view_indices[j] = i as u32;
+            }
+        }
+        for j in unbound.into_values() {
+            self.view_indices[j] = u32::MAX;
+        }
     }
 
     /// Source-table row of the sample at index `i`.
@@ -134,7 +169,10 @@ impl LabeledSet {
         Ok(())
     }
 
-    /// Reads a labeled set written by [`LabeledSet::write_csv`].
+    /// Reads a labeled set written by [`LabeledSet::write_csv`]. The file
+    /// holds no view positions, so each sample's view index is set to its
+    /// row id; [`LabeledSet::bind_view`] corrects it for a view whose
+    /// positions differ from its row ids.
     ///
     /// Returns an error for malformed lines, wrong dimensionality or
     /// duplicate row ids.
@@ -231,6 +269,24 @@ mod tests {
         assert!(back.label(0));
         assert!(!back.label(1));
         assert!(back.seen_rows().contains(&7));
+        assert_eq!(back.view_indices(), &[3, 7]);
+    }
+
+    #[test]
+    fn bind_view_finds_each_row_in_the_view() {
+        use aide_data::view::{Domain, SpaceMapper};
+        let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 100.0)]);
+        // Row ids 10, 3, 7 at positions 0, 1, 2.
+        let view = NumericView::new(mapper, vec![1.0, 2.0, 3.0], vec![10, 3, 7]);
+        let mut set = LabeledSet::new(1);
+        set.push(&sample(7, &[3.0]), true);
+        set.push(&sample(1, &[2.0]), false); // not in the view
+        set.push(&sample(10, &[1.0]), false);
+        set.bind_view(&view);
+        assert_eq!(set.view_indices(), &[2, u32::MAX, 0]);
+        // Already-bound labels are left alone.
+        set.bind_view(&view);
+        assert_eq!(set.view_indices(), &[2, u32::MAX, 0]);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   have been "hit"), and issue *one* query per cluster over the cluster's
 //!   bounding box expanded by `y`.
 
-use std::collections::HashSet;
-
-use aide_index::{ExtractionEngine, Sample};
+use aide_index::{Exclusions, ExtractionEngine, Sample};
 use aide_ml::KMeans;
 use aide_util::geom::Rect;
 use aide_util::rng::Xoshiro256pp;
@@ -82,7 +80,7 @@ pub fn exploit_misclassified(
     regions: &[Rect],
     budget: usize,
     engine: &mut ExtractionEngine,
-    excluded: &HashSet<u32>,
+    excluded: &Exclusions,
     rng: &mut Xoshiro256pp,
     state: &mut MisclassState,
 ) -> MisclassOutcome {
@@ -273,7 +271,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
             &mut MisclassState::default(),
         );
@@ -319,7 +317,7 @@ mod tests {
             &[],
             200,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
             &mut MisclassState::default(),
         );
@@ -351,7 +349,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
             &mut MisclassState::default(),
         );
@@ -377,7 +375,7 @@ mod tests {
             &[],
             7,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
             &mut MisclassState::default(),
         );
@@ -421,7 +419,7 @@ mod tests {
             &[],
             100,
             &mut eng,
-            &HashSet::new(),
+            &Exclusions::none(),
             &mut rng,
             &mut MisclassState::default(),
         );

@@ -111,7 +111,8 @@ impl SessionResult {
     }
 
     /// Extraction costs summed over every iteration: total queries,
-    /// tuples examined/returned, cache hits/misses and engine wall-clock.
+    /// tuples examined/returned, cache hits/misses, engine wall-clock and
+    /// selection wall-clock.
     pub fn extraction_totals(&self) -> ExtractionStats {
         let mut total = ExtractionStats::default();
         for r in &self.history {
@@ -121,6 +122,7 @@ impl SessionResult {
             total.cache_hits += r.extraction.cache_hits;
             total.cache_misses += r.extraction.cache_misses;
             total.elapsed += r.extraction.elapsed;
+            total.select += r.extraction.select;
         }
         total
     }
@@ -437,6 +439,7 @@ impl ExplorationSession {
             "dimensionality mismatch"
         );
         self.labeled = labels;
+        self.labeled.bind_view(self.engine.view());
         self.fitter = None;
         if self.labeled.has_both_classes() {
             self.refit_tree();
@@ -533,6 +536,14 @@ impl ExplorationSession {
         let budget = self.config.samples_per_iteration;
         let mut remaining = budget;
         let mut proposals: Vec<(Sample, Option<u64>, Phase)> = Vec::with_capacity(budget);
+        // Labels only change in `complete_iteration`, so every phase of
+        // this round skips the same rows.
+        let excluded = self
+            .engine
+            .exclusions(self.labeled.view_indices().iter().copied());
+        let select_us = |engine: &ExtractionEngine, before: Duration| {
+            (engine.stats().select - before).as_micros() as u64
+        };
 
         // Phases 2 and 3 use the model from the previous iteration; in the
         // first iteration only object discovery runs (paper §3).
@@ -546,6 +557,7 @@ impl ExplorationSession {
             if self.config.phases.misclassified && remaining > 0 {
                 tracer.begin_phase("misclassified");
                 let phase_start = Instant::now();
+                let select_before = self.engine.stats().select;
                 // Retire false negatives that repeated exploitation could
                 // not develop into areas: with a noisy oracle they are
                 // almost surely flipped labels, and sampling around them
@@ -572,7 +584,7 @@ impl ExplorationSession {
                     &regions,
                     misclass_budget,
                     &mut self.engine,
-                    self.labeled.seen_rows(),
+                    &excluded,
                     &mut self.rng,
                     &mut self.misclass_state,
                 );
@@ -595,12 +607,14 @@ impl ExplorationSession {
                 tracer.end_phase(
                     taken as u64,
                     misclass_queries,
+                    select_us(&self.engine, select_before),
                     phase_start.elapsed().as_micros() as u64,
                 );
             }
             if self.config.phases.boundary && remaining > 0 {
                 tracer.begin_phase("boundary");
                 let phase_start = Instant::now();
+                let select_before = self.engine.stats().select;
                 let out = exploit_boundaries(
                     &self.config,
                     &regions,
@@ -608,7 +622,7 @@ impl ExplorationSession {
                     &self.prev_slabs,
                     remaining,
                     &mut self.engine,
-                    self.labeled.seen_rows(),
+                    &excluded,
                     &mut self.rng,
                 );
                 let taken = out.samples.len();
@@ -619,6 +633,7 @@ impl ExplorationSession {
                 tracer.end_phase(
                     taken as u64,
                     boundary_queries,
+                    select_us(&self.engine, select_before),
                     phase_start.elapsed().as_micros() as u64,
                 );
             }
@@ -628,12 +643,10 @@ impl ExplorationSession {
             tracer.begin_phase("discovery");
             let phase_start = Instant::now();
             let queries_before = self.engine.stats().queries;
-            let disc = self.discovery.propose(
-                remaining,
-                &mut self.engine,
-                self.labeled.seen_rows(),
-                &mut self.rng,
-            );
+            let select_before = self.engine.stats().select;
+            let disc =
+                self.discovery
+                    .propose(remaining, &mut self.engine, &excluded, &mut self.rng);
             let discovery_queries = self.engine.stats().queries - queries_before;
             let taken = disc.len();
             proposals.extend(
@@ -643,6 +656,7 @@ impl ExplorationSession {
             tracer.end_phase(
                 taken as u64,
                 discovery_queries,
+                select_us(&self.engine, select_before),
                 phase_start.elapsed().as_micros() as u64,
             );
         }

@@ -28,8 +28,8 @@
 //! an intermediate buffer proportional to the dataset.
 //!
 //! Malformed files — wrong magic, truncated lanes, non-finite or inverted
-//! domain bounds, non-finite lane values, trailing garbage — are rejected
-//! with [`DataError::Format`] naming the offending field.
+//! domain bounds, lane values outside `[0, 100]`, trailing garbage — are
+//! rejected with [`DataError::Format`] naming the offending field.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -175,13 +175,21 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
                     .chunks_exact(8)
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()))),
             );
-            // Checked per chunk while the chunk is still in cache, with a
-            // branch-free fold the compiler vectorizes; the offending row
-            // is located only on the error path.
-            if lane[decoded..].iter().fold(false, |bad, v| bad | !v.is_finite()) {
-                let at = lane[decoded..].iter().position(|v| !v.is_finite()).unwrap();
+            // Every value must lie in the normalized domain [0, 100]
+            // (which also rejects NaN and ±inf): the grid index files an
+            // out-of-domain point under an edge cell and its full-cell
+            // shortcut would then return it for rectangles it lies
+            // outside. Checked per chunk while the chunk is still in
+            // cache, with a branch-free fold the compiler vectorizes; the
+            // offending row is located only on the error path.
+            let outside = |v: &f64| !(0.0..=100.0).contains(v);
+            if lane[decoded..]
+                .iter()
+                .fold(false, |bad, v| bad | outside(v))
+            {
+                let at = lane[decoded..].iter().position(outside).unwrap();
                 return Err(DataError::Format(format!(
-                    "lane {d} ({:?}) holds non-finite value {} at row {}",
+                    "lane {d} ({:?}) holds value {} outside [0, 100] at row {}",
                     attrs[d as usize],
                     lane[decoded + at],
                     decoded + at
@@ -363,9 +371,34 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut corrupt = bytes.clone();
             corrupt[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
-            expect_format_error(&corrupt, "lane 1 (\"attr_1\") holds non-finite");
+            expect_format_error(&corrupt, "lane 1 (\"attr_1\") holds value");
+            expect_format_error(&corrupt, "outside [0, 100]");
             expect_format_error(&corrupt, &format!("at row {row}"));
         }
+    }
+
+    #[test]
+    fn out_of_domain_lane_values_are_rejected() {
+        // Normalized lanes hold [0, 100]; -5 and 150 used to load, and the
+        // grid index then answered the full domain with rows a scan rejects.
+        let mapper = SpaceMapper::new(
+            vec!["x".into(), "y".into()],
+            vec![Domain::new(0.0, 100.0); 2],
+        );
+        let lanes = vec![vec![10.0, -5.0, 150.0, 50.0], vec![10.0, 20.0, 99.0, 50.0]];
+        let view = NumericView::from_lanes(mapper.clone(), lanes, vec![0, 1, 2, 3]);
+        let mut bytes = Vec::new();
+        write_view_to(&view, &mut bytes).unwrap();
+        expect_format_error(
+            &bytes,
+            "lane 0 (\"x\") holds value -5 outside [0, 100] at row 1",
+        );
+        // The bounds themselves, and -0.0, are in the domain.
+        let lanes = vec![vec![0.0, -0.0, 100.0, 50.0], vec![100.0, 20.0, 0.0, 50.0]];
+        let view = NumericView::from_lanes(mapper, lanes, vec![0, 1, 2, 3]);
+        let mut bytes = Vec::new();
+        write_view_to(&view, &mut bytes).unwrap();
+        assert_eq!(load_view_from(&mut &bytes[..]).unwrap(), view);
     }
 
     /// A header for a one-lane view claiming `n` rows, with no body.

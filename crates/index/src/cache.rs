@@ -197,6 +197,7 @@ mod tests {
     fn query_out(n: usize) -> Arc<QueryOutput> {
         Arc::new(QueryOutput {
             indices: (0..n as u32).collect(),
+            runs: if n == 0 { vec![] } else { vec![(0, 0)] },
             examined: n * 3,
         })
     }

@@ -20,8 +20,15 @@
 //!   [`ExtractionEngine::select_batch_streams`], which selects samples
 //!   from those results on RNG streams pre-split per request — so labels
 //!   are bit-identical for any `AIDE_THREADS`.
+//!
+//! Selection skips the session's labeled rows, passed as an
+//! [`Exclusions`] built once per round by
+//! [`ExtractionEngine::exclusions`]. Removing them from a result costs
+//! O(|labels| · log) and never copies the result; what stays
+//! O(candidates) is the draw itself ([`Rng::sample_indices`] visits every
+//! candidate position once).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +39,10 @@ use aide_util::rng::{Rng, Xoshiro256pp};
 use aide_util::trace::Tracer;
 
 use crate::cache::CacheState;
-use crate::{CountOutput, GridIndex, QueryOutput, RegionIndex, ScanIndex, SharedRegionCache};
+use crate::exclusions::raw_position;
+use crate::{
+    CountOutput, Exclusions, GridIndex, QueryOutput, RegionIndex, ScanIndex, SharedRegionCache,
+};
 
 /// Which access path the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +82,11 @@ pub struct ExtractionStats {
     pub cache_misses: u64,
     /// Wall-clock time spent inside the engine.
     pub elapsed: Duration,
+    /// Wall-clock time spent selecting samples from query results:
+    /// [`ExtractionEngine::select_batch_streams`] plus the pick inside
+    /// [`ExtractionEngine::sample_in_excluding`] (which `elapsed` also
+    /// covers).
+    pub select: Duration,
 }
 
 impl ExtractionStats {
@@ -350,6 +365,26 @@ impl ExtractionEngine {
         self.count_in(rect) as f64 / self.view.len() as f64
     }
 
+    /// Keys `view_indices` (typically the session's labeled rows) for
+    /// selection on this engine and its forks. Indices outside the view
+    /// are dropped. Costs O(k log k) for k indices.
+    pub fn exclusions(&self, view_indices: impl IntoIterator<Item = u32>) -> Exclusions {
+        Exclusions::new(&*self.index, &self.view, view_indices, self.index_id())
+    }
+
+    /// Identity of the built index, shared by every fork.
+    fn index_id(&self) -> usize {
+        Arc::as_ptr(&self.index) as *const () as usize
+    }
+
+    /// Panics unless `excluded` was keyed for this engine's index.
+    fn check_exclusions(&self, excluded: &Exclusions) {
+        assert!(
+            excluded.is_empty() || excluded.owner() == self.index_id(),
+            "exclusions were built by an engine over another index"
+        );
+    }
+
     /// Up to `n` distinct uniformly random samples inside `rect`
     /// (one extraction query).
     pub fn sample_in<R: Rng + ?Sized>(
@@ -358,26 +393,33 @@ impl ExtractionEngine {
         n: usize,
         rng: &mut R,
     ) -> Vec<Sample> {
-        self.sample_in_excluding(rect, n, rng, &HashSet::new())
+        self.sample_in_excluding(rect, n, rng, &Exclusions::none())
     }
 
-    /// Like [`ExtractionEngine::sample_in`] but never returns a row the
-    /// user has already labeled (`excluded` holds row ids). Re-showing a
+    /// Like [`ExtractionEngine::sample_in`] but never returns a row in
+    /// `excluded` (the rows the user has already labeled). Re-showing a
     /// labeled object would waste user effort without adding training
     /// signal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `excluded` was built by an engine over another index.
     pub fn sample_in_excluding<R: Rng + ?Sized>(
         &mut self,
         rect: &Rect,
         n: usize,
         rng: &mut R,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
     ) -> Vec<Sample> {
         if n == 0 {
             return Vec::new();
         }
+        self.check_exclusions(excluded);
         let start = Instant::now();
         let out: Arc<QueryOutput> = self.fetch(rect);
+        let picked = Instant::now();
         let samples = self.select_excluding(&out, n, rng, excluded);
+        self.stats.select += picked.elapsed();
         self.stats.elapsed += start.elapsed();
         samples
     }
@@ -387,40 +429,42 @@ impl ExtractionEngine {
     /// depends only on the candidate count, so for a given query result
     /// this is bit-identical however the result was obtained (index,
     /// cache, serial or parallel). Charges no stats.
+    ///
+    /// The draw picks positions among the candidates left once the
+    /// excluded raw positions (`hits`) are removed; each is mapped back to
+    /// its raw position by skipping the hits at or before it, so the
+    /// result is never copied.
     fn select_excluding<R: Rng + ?Sized>(
         &self,
         out: &QueryOutput,
         n: usize,
         rng: &mut R,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
     ) -> Vec<Sample> {
         if n == 0 {
             return Vec::new();
         }
-        let candidates: Vec<u32> = if excluded.is_empty() {
-            out.indices.clone()
-        } else {
-            out.indices
-                .iter()
-                .copied()
-                .filter(|&i| !excluded.contains(&self.view.row_id(i as usize)))
-                .collect()
+        let hits = excluded.hits(out);
+        let len = out.indices.len() - hits.len();
+        let sample = |raw: usize| {
+            let i = out.indices[raw] as usize;
+            Sample {
+                view_index: i as u32,
+                row_id: self.view.row_id(i),
+                point: self.view.point_vec(i),
+            }
         };
-        let chosen: Vec<u32> = if candidates.len() <= n {
-            candidates
-        } else {
-            rng.sample_indices(candidates.len(), n)
-                .into_iter()
-                .map(|i| candidates[i])
-                .collect()
-        };
-        chosen
+        if len <= n {
+            // Every candidate, in result order.
+            let mut skip = hits.iter().peekable();
+            return (0..out.indices.len())
+                .filter(|&raw| skip.next_if(|&&h| h as usize == raw).is_none())
+                .map(sample)
+                .collect();
+        }
+        rng.sample_indices(len, n)
             .into_iter()
-            .map(|i| Sample {
-                view_index: i,
-                row_id: self.view.row_id(i as usize),
-                point: self.view.point_vec(i as usize),
-            })
+            .map(|p| sample(raw_position(&hits, p)))
             .collect()
     }
 
@@ -429,29 +473,19 @@ impl ExtractionEngine {
     /// many samples. RNG-free: phases use it to settle
     /// budget propagation *before* selection, so selection itself can run
     /// on pre-split streams without changing how much later areas receive.
-    pub fn count_candidates(&self, out: &QueryOutput, excluded: &HashSet<u32>) -> usize {
-        if excluded.is_empty() {
-            out.indices.len()
-        } else {
-            out.indices
-                .iter()
-                .filter(|&&i| !excluded.contains(&self.view.row_id(i as usize)))
-                .count()
-        }
+    pub fn count_candidates(&self, out: &QueryOutput, excluded: &Exclusions) -> usize {
+        self.check_exclusions(excluded);
+        out.indices.len() - excluded.count_hits(out)
     }
 
     /// Whether a query result still holds at least one candidate after
     /// removing `excluded` rows. RNG-free — phases use it to decide
     /// fallback queries *before* any selection draw happens, which is what
     /// lets them batch all queries ahead of selection.
-    pub fn has_candidates(&self, out: &QueryOutput, excluded: &HashSet<u32>) -> bool {
-        if excluded.is_empty() {
-            !out.indices.is_empty()
-        } else {
-            out.indices
-                .iter()
-                .any(|&i| !excluded.contains(&self.view.row_id(i as usize)))
-        }
+    pub fn has_candidates(&self, out: &QueryOutput, excluded: &Exclusions) -> bool {
+        self.check_exclusions(excluded);
+        // A result larger than the whole exclusion set always keeps one.
+        out.indices.len() > excluded.len() || out.indices.len() > excluded.count_hits(out)
     }
 
     /// The batch policy behind [`ExtractionEngine::query_batch_outputs`]
@@ -576,15 +610,23 @@ impl ExtractionEngine {
     /// positions with `want > 0` (in input order; `rng` advances by
     /// exactly one draw) and each position selects up to its `want`
     /// samples on its own stream inside the pool pass. Deterministic for
-    /// any thread count. Charges no stats.
+    /// any thread count. Books only its wall-clock time
+    /// ([`ExtractionStats::select`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths of `outputs` and `wants` differ, or if
+    /// `excluded` was built by an engine over another index.
     pub fn select_batch_streams(
-        &self,
+        &mut self,
         outputs: &[Arc<QueryOutput>],
         wants: &[usize],
         rng: &mut Xoshiro256pp,
-        excluded: &HashSet<u32>,
+        excluded: &Exclusions,
     ) -> Vec<Vec<Sample>> {
         assert_eq!(outputs.len(), wants.len(), "one want per output");
+        self.check_exclusions(excluded);
+        let start = Instant::now();
         let active: Vec<usize> = (0..wants.len()).filter(|&i| wants[i] > 0).collect();
         let streams = rng.split_streams(active.len());
         let pool = self.pool;
@@ -595,6 +637,7 @@ impl ExtractionEngine {
             })
             .collect()
         });
+        self.stats.select += start.elapsed();
         let mut results: Vec<Vec<Sample>> = vec![Vec::new(); wants.len()];
         for (samples, &i) in selected.into_iter().zip(&active) {
             results[i] = samples;
@@ -668,9 +711,10 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 10);
         // Exclusion removes previously labeled rows.
-        let excluded: HashSet<u32> = samples.iter().map(|s| s.row_id).collect();
+        let excluded = engine.exclusions(samples.iter().map(|s| s.view_index));
         let more = engine.sample_in_excluding(&rect, 1_000, &mut rng, &excluded);
-        assert!(more.iter().all(|s| !excluded.contains(&s.row_id)));
+        assert_eq!(more.len(), engine.query_in(&rect).len() - 10);
+        assert!(more.iter().all(|s| !ids.contains(&s.row_id)));
     }
 
     #[test]
@@ -785,18 +829,13 @@ mod tests {
             })
             .collect();
         let wants: Vec<usize> = (0..10).map(|i| if i == 4 { 0 } else { 3 + i % 4 }).collect();
-        let excluded: HashSet<u32> = [5, 90, 311].into_iter().collect();
+        let labeled = [5, 90, 311];
 
         // Reference: serial single-rect queries, then serial selection on
         // the same pre-split streams `select_batch_streams` hands out.
         let mut serial = ExtractionEngine::new(view.clone(), IndexKind::Grid);
-        let outputs: Vec<QueryOutput> = rects
-            .iter()
-            .map(|r| QueryOutput {
-                indices: serial.query_in(r),
-                examined: 0,
-            })
-            .collect();
+        let excluded = serial.exclusions(labeled);
+        let outputs: Vec<Arc<QueryOutput>> = rects.iter().map(|r| serial.fetch(r)).collect();
         let mut rng_s = Xoshiro256pp::seed_from_u64(42);
         let mut streams = rng_s.split_streams(wants.iter().filter(|&&w| w > 0).count());
         let mut next = 0;
@@ -815,6 +854,7 @@ mod tests {
         for threads in [1, 4] {
             let mut batch = ExtractionEngine::new(view.clone(), IndexKind::Grid);
             batch.set_pool(Pool::new(threads));
+            let excluded = batch.exclusions(labeled);
             let mut rng_b = Xoshiro256pp::seed_from_u64(42);
             let outs = batch.query_batch_outputs(&rects);
             let got = batch.select_batch_streams(&outs, &wants, &mut rng_b, &excluded);
@@ -822,7 +862,7 @@ mod tests {
             for ((rect, &n), samples) in rects.iter().zip(&wants).zip(&got) {
                 assert!(samples.len() <= n);
                 assert!(samples.iter().all(|s| rect.contains(&s.point)));
-                assert!(samples.iter().all(|s| !excluded.contains(&s.row_id)));
+                assert!(samples.iter().all(|s| !labeled.contains(&s.row_id)));
             }
             // The caller RNG advanced by exactly the split, like the reference.
             assert_eq!(rng_b.next_u64(), rng_s.clone().next_u64(), "{threads} threads");
@@ -928,6 +968,37 @@ mod tests {
         let out = engine.sample_in(&Rect::full_domain(2), 0, &mut rng);
         assert!(out.is_empty());
         assert_eq!(engine.stats().queries, 0);
+    }
+
+    #[test]
+    fn exclusions_belong_to_the_engine_and_its_forks() {
+        let view = grid_view(10);
+        let host = ExtractionEngine::new(view.clone(), IndexKind::Grid);
+        let mut fork = host.fork_session();
+        let excluded = host.exclusions([3, 3, 7, 100, u32::MAX]);
+        assert_eq!(excluded.len(), 2, "duplicates and out-of-view indices drop");
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        let all = fork.sample_in_excluding(&Rect::full_domain(2), 1_000, &mut rng, &excluded);
+        assert_eq!(all.len(), 98);
+        assert!(all.iter().all(|s| s.view_index != 3 && s.view_index != 7));
+        // An engine with its own index refuses them.
+        let mut other = ExtractionEngine::new(view, IndexKind::Grid);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.sample_in_excluding(&Rect::full_domain(2), 1, &mut rng, &excluded)
+        }));
+        assert!(refused.is_err());
+    }
+
+    #[test]
+    fn selection_time_is_booked() {
+        let view = grid_view(10);
+        let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let outs = engine.query_batch_outputs(&[Rect::full_domain(2)]);
+        assert_eq!(engine.stats().select, Duration::ZERO);
+        let got = engine.select_batch_streams(&outs, &[3], &mut rng, &Exclusions::none());
+        assert_eq!(got[0].len(), 3);
+        assert!(engine.stats().select > Duration::ZERO);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Equi-width multidimensional grid index.
 //!
 //! The normalized exploration space `[0, 100]^d` is bucketed into
-//! `resolution^d` equal-width cells; each cell stores the view indices of
+//! `resolution^d` equal-width cells; each cell holds the view indices of
 //! the points it contains. Rectangle queries visit only overlapping cells,
 //! and cells entirely inside the query rectangle contribute their points
 //! without per-point tests — this is the cheap access path that stands in
 //! for the paper's covering index.
+//!
+//! The cells are stored in CSR form: one `rows` array holding every view
+//! index grouped by cell, and `offsets` (one per cell, plus one) marking
+//! where each cell's slice starts. Each slice is in ascending view order.
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
@@ -18,7 +22,10 @@ use crate::{CountOutput, QueryOutput, RegionIndex};
 pub struct GridIndex {
     dims: usize,
     resolution: usize,
-    cells: Vec<Vec<u32>>,
+    /// View indices grouped by flat cell id, ascending within each cell.
+    rows: Vec<u32>,
+    /// `rows[offsets[c]..offsets[c + 1]]` is cell `c`'s slice.
+    offsets: Vec<u32>,
 }
 
 impl GridIndex {
@@ -26,9 +33,6 @@ impl GridIndex {
     /// reduced until `resolution^dims` fits. Keeps high-dimensional
     /// indexes (the paper explores up to 5-D) from exploding.
     const MAX_CELLS: usize = 1 << 20;
-
-    /// Views smaller than this build serially even on a parallel pool.
-    const PAR_BUILD_MIN_POINTS: usize = 8_192;
 
     /// Points per parallel chunk of the cell-id mapping pass.
     const BUILD_CHUNK: usize = 8_192;
@@ -70,6 +74,8 @@ impl GridIndex {
         Self::with_resolution_in(view, resolution, &Pool::serial())
     }
 
+    /// The CSR build: a (parallel) cell-id pass, one counting pass, a
+    /// prefix sum and a scatter in view order.
     fn with_resolution_in(view: &NumericView, resolution: usize, pool: &Pool) -> Self {
         assert!(resolution >= 1, "grid resolution must be at least 1");
         let dims = view.dims();
@@ -77,32 +83,42 @@ impl GridIndex {
         while resolution > 1 && total_cells(resolution, dims) > Self::MAX_CELLS {
             resolution -= 1;
         }
-        let mut cells = vec![Vec::new(); total_cells(resolution, dims)];
-        if pool.is_serial() || view.len() < Self::PAR_BUILD_MIN_POINTS {
-            for i in 0..view.len() {
-                let cell = Self::cell_of(view, i, resolution);
-                cells[cell].push(i as u32);
-            }
-        } else {
-            let ids = pool.par_map_collect(view.len(), Self::BUILD_CHUNK, |range| {
-                range
-                    .map(|i| Self::cell_of(view, i, resolution))
-                    .collect()
-            });
-            for (i, cell) in ids.into_iter().enumerate() {
-                cells[cell].push(i as u32);
-            }
+        let ids: Vec<u32> = pool.par_map_collect(view.len(), Self::BUILD_CHUNK, |range| {
+            range
+                .map(|i| Self::cell_of(view, i, resolution) as u32)
+                .collect()
+        });
+        let cells = total_cells(resolution, dims);
+        let mut offsets = vec![0u32; cells + 1];
+        for &c in &ids {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..cells {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..cells].to_vec();
+        let mut rows = vec![0u32; ids.len()];
+        for (i, &c) in ids.iter().enumerate() {
+            let slot = &mut cursor[c as usize];
+            rows[*slot as usize] = i as u32;
+            *slot += 1;
         }
         Self {
             dims,
             resolution,
-            cells,
+            rows,
+            offsets,
         }
     }
 
     /// Per-dimension resolution actually used.
     pub fn resolution(&self) -> usize {
         self.resolution
+    }
+
+    /// The view indices stored in flat cell `cell`, ascending.
+    fn cell(&self, cell: usize) -> &[u32] {
+        &self.rows[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
     }
 
     /// Flat cell id of point `i`, read lane-by-lane.
@@ -125,13 +141,53 @@ impl GridIndex {
         (lo_b, hi_b)
     }
 
-    /// The normalized bounding box of a per-dimension bucket combination.
-    fn bucket_rect(&self, buckets: &[usize]) -> Rect {
+    /// Calls `visit(cell, rows, full)` for every non-empty cell that
+    /// overlaps `rect`, in ascending flat cell id. `full` says the cell's
+    /// bounding box lies inside `rect`, so its rows need no point test.
+    ///
+    /// Whether a bucket lies inside `rect` is decided once per dimension
+    /// per query, from the bucket bounds `b·w` and `(b + 1)·w`.
+    fn for_each_cell(&self, rect: &Rect, mut visit: impl FnMut(usize, &[u32], bool)) {
+        assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
         let w = 100.0 / self.resolution as f64;
-        Rect::new(
-            buckets.iter().map(|&b| b as f64 * w).collect(),
-            buckets.iter().map(|&b| (b + 1) as f64 * w).collect(),
-        )
+        let ranges: Vec<(usize, usize)> = (0..self.dims)
+            .map(|d| self.bucket_range(rect.lo(d), rect.hi(d)))
+            .collect();
+        // inside[d][b - lo_d]: bucket b of dimension d lies within rect.
+        let inside: Vec<Vec<bool>> = ranges
+            .iter()
+            .enumerate()
+            .map(|(d, &(lo, hi))| {
+                (lo..=hi)
+                    .map(|b| b as f64 * w >= rect.lo(d) && (b + 1) as f64 * w <= rect.hi(d))
+                    .collect()
+            })
+            .collect();
+        // Iterate the cross product of overlapping bucket ranges; the
+        // odometer advances the last dimension fastest, so flat ids rise.
+        let mut buckets: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
+        loop {
+            let flat = buckets
+                .iter()
+                .fold(0usize, |acc, &b| acc * self.resolution + b);
+            let rows = self.cell(flat);
+            if !rows.is_empty() {
+                let full = (0..self.dims).all(|d| inside[d][buckets[d] - ranges[d].0]);
+                visit(flat, rows, full);
+            }
+            let mut d = self.dims;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                if buckets[d] < ranges[d].1 {
+                    buckets[d] += 1;
+                    break;
+                }
+                buckets[d] = ranges[d].0;
+            }
+        }
     }
 }
 
@@ -141,85 +197,45 @@ fn total_cells(resolution: usize, dims: usize) -> usize {
 
 impl RegionIndex for GridIndex {
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
-        assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
-        let ranges: Vec<(usize, usize)> = (0..self.dims)
-            .map(|d| self.bucket_range(rect.lo(d), rect.hi(d)))
-            .collect();
         let mut indices = Vec::new();
+        let mut runs = Vec::new();
         let mut examined = 0usize;
-        // Iterate the cross product of overlapping bucket ranges.
-        let mut buckets: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let cell_rect = self.bucket_rect(&buckets);
-            let flat = buckets
-                .iter()
-                .fold(0usize, |acc, &b| acc * self.resolution + b);
-            let cell = &self.cells[flat];
-            if !cell.is_empty() {
-                // Cells fully covered by the query need no per-point test.
-                let fully_inside = (0..self.dims)
-                    .all(|d| cell_rect.lo(d) >= rect.lo(d) && cell_rect.hi(d) <= rect.hi(d));
-                if fully_inside {
-                    indices.extend_from_slice(cell);
-                } else {
-                    examined += cell.len();
-                    // Kernel sweep preserves the cell's bucket order.
-                    view.filter_indices_into(rect, cell, &mut indices);
-                }
+        self.for_each_cell(rect, |cell, rows, full| {
+            let start = indices.len();
+            if full {
+                indices.extend_from_slice(rows);
+            } else {
+                examined += rows.len();
+                // Kernel sweep preserves the cell's ascending order.
+                view.filter_indices_into(rect, rows, &mut indices);
             }
-            // Advance the odometer over bucket combinations.
-            let mut d = self.dims;
-            loop {
-                if d == 0 {
-                    return QueryOutput { indices, examined };
-                }
-                d -= 1;
-                if buckets[d] < ranges[d].1 {
-                    buckets[d] += 1;
-                    break;
-                }
-                buckets[d] = ranges[d].0;
+            if indices.len() > start {
+                runs.push((cell as u32, start as u32));
             }
+        });
+        QueryOutput {
+            indices,
+            runs,
+            examined,
         }
     }
 
     fn count(&self, view: &NumericView, rect: &Rect) -> CountOutput {
-        assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
-        let ranges: Vec<(usize, usize)> = (0..self.dims)
-            .map(|d| self.bucket_range(rect.lo(d), rect.hi(d)))
-            .collect();
         let mut count = 0usize;
         let mut examined = 0usize;
-        let mut buckets: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let cell_rect = self.bucket_rect(&buckets);
-            let flat = buckets
-                .iter()
-                .fold(0usize, |acc, &b| acc * self.resolution + b);
-            let cell = &self.cells[flat];
-            if !cell.is_empty() {
-                let fully_inside = (0..self.dims)
-                    .all(|d| cell_rect.lo(d) >= rect.lo(d) && cell_rect.hi(d) <= rect.hi(d));
-                if fully_inside {
-                    count += cell.len();
-                } else {
-                    examined += cell.len();
-                    count += view.count_indices(rect, cell);
-                }
+        self.for_each_cell(rect, |_, rows, full| {
+            if full {
+                count += rows.len();
+            } else {
+                examined += rows.len();
+                count += view.count_indices(rect, rows);
             }
-            let mut d = self.dims;
-            loop {
-                if d == 0 {
-                    return CountOutput { count, examined };
-                }
-                d -= 1;
-                if buckets[d] < ranges[d].1 {
-                    buckets[d] += 1;
-                    break;
-                }
-                buckets[d] = ranges[d].0;
-            }
-        }
+        });
+        CountOutput { count, examined }
+    }
+
+    fn run_key(&self, view: &NumericView, i: u32) -> u32 {
+        Self::cell_of(view, i as usize, self.resolution) as u32
     }
 
     fn name(&self) -> &'static str {
@@ -329,6 +345,50 @@ mod tests {
             let fast = idx.count(&view, &rect);
             assert_eq!(fast.count, full.indices.len());
             assert_eq!(fast.examined, full.examined);
+        }
+    }
+
+    #[test]
+    fn csr_cells_equal_a_naive_per_cell_build() {
+        for (n, dims) in [(0, 2), (1, 1), (20_000, 2), (9_000, 3)] {
+            let view = uniform_view(n, dims, 7 + n as u64);
+            for pool in [Pool::serial(), Pool::new(4)] {
+                let idx = GridIndex::build_with(&view, &pool);
+                let r = idx.resolution();
+                let mut naive = vec![Vec::new(); total_cells(r, dims)];
+                for i in 0..view.len() {
+                    naive[GridIndex::cell_of(&view, i, r)].push(i as u32);
+                }
+                assert_eq!(idx.offsets.len(), naive.len() + 1);
+                for (c, want) in naive.iter().enumerate() {
+                    assert_eq!(idx.cell(c), &want[..], "cell {c}, n {n}, {pool:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_ascend_and_partition_the_result() {
+        let view = uniform_view(5_000, 2, 8);
+        let idx = GridIndex::with_resolution(&view, 16);
+        for rect in [
+            Rect::full_domain(2),
+            Rect::new(vec![10.0, 20.0], vec![31.25, 60.0]),
+            Rect::new(vec![12.5, 12.5], vec![12.5, 100.0]),
+            Rect::new(vec![99.9, 0.0], vec![100.0, 0.1]),
+        ] {
+            let out = idx.query(&view, &rect);
+            assert!(out.runs.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
+            assert_eq!(out.runs.first().map_or(0, |r| r.1), 0);
+            let ends = out.runs.iter().skip(1).map(|r| r.1 as usize);
+            for (&(cell, start), end) in out.runs.iter().zip(ends.chain([out.indices.len()])) {
+                let run = &out.indices[start as usize..end];
+                assert!(!run.is_empty());
+                assert!(run.windows(2).all(|w| w[0] < w[1]), "run ascends");
+                for &i in run {
+                    assert_eq!(idx.run_key(&view, i), cell);
+                }
+            }
         }
     }
 

@@ -14,26 +14,31 @@
 //!   grid is checked against;
 //! * [`ExtractionEngine`] — the façade the framework talks to, with
 //!   per-session counters for extraction queries, tuples examined and
-//!   wall-clock time (the paper's "sample extraction time").
+//!   wall-clock time (the paper's "sample extraction time");
+//! * [`Exclusions`] — the session's labeled rows, keyed so that removing
+//!   them from a query result costs O(|labels| · log) rather than a pass
+//!   over the result.
 
 #![deny(missing_docs)]
 
 pub mod cache;
 pub mod engine;
+pub mod exclusions;
 pub mod grid;
 pub mod scan;
 
 pub use cache::{CacheStats, SharedRegionCache};
 pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
+pub use exclusions::Exclusions;
 pub use grid::GridIndex;
 pub use scan::ScanIndex;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
 
-/// Result of a region query: matching view indices plus the number of
-/// points the access path had to examine to find them (the paper's
-/// extraction-cost driver).
+/// Result of a region query: matching view indices, grouped into runs,
+/// plus the number of points the access path had to examine to find them
+/// (the paper's extraction-cost driver).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOutput {
     /// View indices of points inside the query rectangle.
@@ -43,6 +48,13 @@ pub struct QueryOutput {
     /// ascending view order; [`GridIndex`] returns cell-major visit order
     /// (ascending within each cell).
     pub indices: Vec<u32>,
+    /// `(key, start)` for each run of `indices`, in strictly ascending key
+    /// order; a run ends where the next one starts (the last at
+    /// `indices.len()`). Runs are non-empty and partition `indices`, and
+    /// each run is in ascending view order. Every index in a run has
+    /// [`RegionIndex::run_key`] equal to the run's key, so whether a given
+    /// view index is in the output is one binary search in one run.
+    pub runs: Vec<(u32, u32)>,
     /// Points whose coordinates were compared against the rectangle.
     pub examined: usize,
 }
@@ -79,6 +91,11 @@ pub trait RegionIndex: Send + Sync {
             examined: out.examined,
         }
     }
+
+    /// The key of the [`QueryOutput::runs`] entry that view index `i`
+    /// falls in, should a query return it: the flat cell id for
+    /// [`GridIndex`], `0` for [`ScanIndex`].
+    fn run_key(&self, view: &NumericView, i: u32) -> u32;
 
     /// Human-readable name for diagnostics and benches.
     fn name(&self) -> &'static str;

@@ -29,8 +29,15 @@ impl RegionIndex for ScanIndex {
         // old per-row filter loop, minus the branches.
         let mut indices = Vec::new();
         view.scan_rect_into(rect, 0, view.len(), &mut indices);
+        // Ascending view order is one run under the single key 0.
+        let runs = if indices.is_empty() {
+            Vec::new()
+        } else {
+            vec![(0, 0)]
+        };
         QueryOutput {
             indices,
+            runs,
             examined: view.len(),
         }
     }
@@ -40,6 +47,10 @@ impl RegionIndex for ScanIndex {
             count: view.count_rect(rect, 0, view.len()),
             examined: view.len(),
         }
+    }
+
+    fn run_key(&self, _view: &NumericView, _i: u32) -> u32 {
+        0
     }
 
     fn name(&self) -> &'static str {
@@ -62,6 +73,7 @@ mod tests {
         let view = NumericView::new(mapper, data, vec![0, 1, 2]);
         let out = ScanIndex::new().query(&view, &Rect::new(vec![0.0, 0.0], vec![60.0, 60.0]));
         assert_eq!(out.indices, vec![0, 1]);
+        assert_eq!(out.runs, vec![(0, 0)]);
         assert_eq!(out.examined, 3);
     }
 }

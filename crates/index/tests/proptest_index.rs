@@ -1,14 +1,20 @@
 //! Property-based tests: every access path answers rectangle queries
 //! identically to a brute-force scan, and sampling honors its contract —
 //! running on the hermetic `aide-testkit` harness.
+//!
+//! Selection with [`Exclusions`] is checked against the path it replaced,
+//! kept here as a reference only: filter the result through a row-id
+//! `HashSet`, then draw from the filtered copy.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use aide_data::store::{load_view_from, write_view_to};
 use aide_data::view::{Domain, SpaceMapper};
 use aide_data::NumericView;
 use aide_index::{
-    ExtractionEngine, GridIndex, IndexKind, QueryOutput, RegionIndex, ScanIndex, SharedRegionCache,
+    Exclusions, ExtractionEngine, GridIndex, IndexKind, QueryOutput, RegionIndex, Sample,
+    ScanIndex, SharedRegionCache,
 };
 use aide_testkit::prop::gen;
 use aide_testkit::{forall, prop_assert, prop_assert_eq};
@@ -45,6 +51,99 @@ fn rect_from((a, b): &((f64, f64), (f64, f64))) -> Rect {
         vec![a.0.min(b.0), a.1.min(b.1)],
         vec![a.0.max(b.0), a.1.max(b.1)],
     )
+}
+
+/// One rectangle bound: `(kind, value, k)` is a free value, the `k`-th
+/// grid cell edge, or the domain edge 100 or 0 — so generated rectangles
+/// touch cell edges and the domain's upper bound, and are often
+/// degenerate.
+fn bound_gen() -> impl gen::Gen<Value = (usize, f64, usize)> {
+    (
+        gen::usize_in(0..4),
+        gen::f64_in(0.0..100.0),
+        gen::usize_in(0..65),
+    )
+}
+
+fn bound_at((kind, value, k): (usize, f64, usize), resolution: usize) -> f64 {
+    let w = 100.0 / resolution as f64;
+    match kind {
+        0 => value,
+        1 => (k % (resolution + 1)) as f64 * w,
+        2 => 100.0,
+        _ => 0.0,
+    }
+}
+
+/// A 2-d rectangle from four bounds (x pair, y pair).
+fn rect_at(bounds: &[(usize, f64, usize)], resolution: usize) -> Rect {
+    let v: Vec<f64> = bounds.iter().map(|&b| bound_at(b, resolution)).collect();
+    Rect::new(
+        vec![v[0].min(v[1]), v[2].min(v[3])],
+        vec![v[0].max(v[1]), v[2].max(v[3])],
+    )
+}
+
+/// Whether view index `i` sits in a grid cell (at `resolution`) that
+/// `rect` only partly covers, i.e. one whose rows are point-tested.
+fn in_partial_cell(view: &NumericView, i: usize, rect: &Rect, resolution: usize) -> bool {
+    let w = 100.0 / resolution as f64;
+    (0..view.dims()).any(|d| {
+        let b = ((view.coord(i, d) / 100.0 * resolution as f64) as usize).min(resolution - 1);
+        !(b as f64 * w >= rect.lo(d) && (b + 1) as f64 * w <= rect.hi(d))
+    })
+}
+
+/// The reference selection: the result filtered through a row-id set,
+/// then `sample_indices` over the filtered copy.
+fn hashset_select(
+    view: &NumericView,
+    out: &QueryOutput,
+    n: usize,
+    rng: &mut Xoshiro256pp,
+    excluded: &HashSet<u32>,
+) -> Vec<Sample> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let candidates: Vec<u32> = out
+        .indices
+        .iter()
+        .copied()
+        .filter(|&i| !excluded.contains(&view.row_id(i as usize)))
+        .collect();
+    let chosen: Vec<u32> = if candidates.len() <= n {
+        candidates
+    } else {
+        rng.sample_indices(candidates.len(), n)
+            .into_iter()
+            .map(|i| candidates[i])
+            .collect()
+    };
+    chosen
+        .into_iter()
+        .map(|i| Sample {
+            view_index: i,
+            row_id: view.row_id(i as usize),
+            point: view.point_vec(i as usize),
+        })
+        .collect()
+}
+
+/// The reference candidate count: the result filtered through a row-id set.
+fn hashset_count(view: &NumericView, out: &QueryOutput, excluded: &HashSet<u32>) -> usize {
+    out.indices
+        .iter()
+        .filter(|&&i| !excluded.contains(&view.row_id(i as usize)))
+        .count()
+}
+
+/// Cheap deterministic per-row coin for subset picks.
+fn coin(seed: u64, i: u32, one_in: u64) -> bool {
+    (seed ^ u64::from(i))
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(29)
+        .is_multiple_of(one_in)
 }
 
 /// The bare access path an engine of `kind` queries, built directly.
@@ -117,7 +216,7 @@ forall! {
     ) {
         let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
         let wants: Vec<usize> = (0..rects.len()).map(|i| (n + i) % 20).collect();
-        let excluded = HashSet::new();
+        let excluded = Exclusions::none();
         for kind in [IndexKind::Grid, IndexKind::Scan] {
             // Reference: the access path itself, one query per rect, no cache.
             let view = view_from(&points);
@@ -126,7 +225,7 @@ forall! {
                 rects.iter().map(|r| Arc::new(index.query(&view, r))).collect();
             let expected_counts: Vec<usize> =
                 rects.iter().map(|r| index.count(&view, r).count).collect();
-            let selector = ExtractionEngine::new(view, kind);
+            let mut selector = ExtractionEngine::new(view, kind);
             let mut rng_s = Xoshiro256pp::seed_from_u64(seed);
             let expected = selector.select_batch_streams(&outputs, &wants, &mut rng_s, &excluded);
 
@@ -165,7 +264,7 @@ forall! {
         seed in gen::any_u64(),
         threads in gen::usize_in(1..5),
     ) {
-        let excluded = HashSet::new();
+        let excluded = Exclusions::none();
         let rects: Vec<Rect> = all_corners.iter().map(rect_from).collect();
         let wants: Vec<usize> = (0..rects.len()).map(|i| (n + i) % 20).collect();
         for kind in [IndexKind::Grid, IndexKind::Scan] {
@@ -206,10 +305,12 @@ forall! {
         let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let first = engine.sample_in(&rect, 10, &mut rng);
-        let excluded: HashSet<u32> = first.iter().map(|s| s.row_id).collect();
+        let excluded = engine.exclusions(first.iter().map(|s| s.view_index));
+        let rows: HashSet<u32> = first.iter().map(|s| s.row_id).collect();
         let second = engine.sample_in_excluding(&rect, 1_000, &mut rng, &excluded);
+        prop_assert_eq!(second.len() + first.len(), engine.count_in(&rect));
         for s in &second {
-            prop_assert!(!excluded.contains(&s.row_id));
+            prop_assert!(!rows.contains(&s.row_id));
         }
     }
 
@@ -301,12 +402,13 @@ forall! {
     ) {
         let pool_rects: Vec<Rect> = pool_corners.iter().map(rect_from).collect();
         let pick = |p: usize| pool_rects[p % pool_rects.len()].clone();
-        let excluded: HashSet<u32> = (0..points.len() as u32).filter(|i| i % 5 == 0).collect();
         for kind in [IndexKind::Grid, IndexKind::Scan] {
             let view = Arc::new(view_from(&points));
             let index = direct_index(&view, kind);
             let mut template = ExtractionEngine::from_arc(Arc::clone(&view), kind);
             template.set_pool(Pool::new(threads));
+            // Keyed once; valid on every fork, which shares the index.
+            let excluded = template.exclusions((0..points.len() as u32).filter(|i| i % 5 == 0));
             let mut forks = [template.fork_session(), template.fork_session()];
             let cold = || {
                 let mut engine = template.fork_session();
@@ -399,6 +501,139 @@ forall! {
                     "RNG state of fork {} on {:?}", f, kind
                 );
             }
+        }
+    }
+
+    /// Selection with [`Exclusions`] is the `HashSet` filter it replaced,
+    /// bit for bit: for Grid and Scan, rectangles that are degenerate or
+    /// touch cell edges and 100.0, exclusion sets that are empty, lie
+    /// outside the result, sit in partly covered cells, cover the whole
+    /// result or all of it but one row, or are a random subset of the
+    /// view, and `n` of 0, 1, len − 1, len and more than len, at 1 and 4
+    /// threads: the engine's results equal the bare index's,
+    /// `count_candidates` and `has_candidates` equal the reference's, and
+    /// both `sample_in_excluding` and `select_batch_streams` return the
+    /// reference's samples and leave the RNG in the same state.
+    fn exclusion_selection_matches_the_hashset_reference(
+        points in points_gen(),
+        bounds in gen::vec_of(bound_gen(), 4..13),
+        mode in gen::usize_in(0..6),
+        pick in gen::any_u64(),
+        n_kind in gen::usize_in(0..6),
+        seed in gen::any_u64(),
+    ) {
+        let view = view_from(&points);
+        let resolution = GridIndex::build(&view).resolution();
+        let rects: Vec<Rect> = bounds.chunks_exact(4).map(|b| rect_at(b, resolution)).collect();
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
+            let index = direct_index(&view, kind);
+            let outputs: Vec<QueryOutput> = rects.iter().map(|r| index.query(&view, r)).collect();
+            let first = &outputs[0];
+            let in_first: HashSet<u32> = first.indices.iter().copied().collect();
+            let all = 0..points.len() as u32;
+            let labeled: Vec<u32> = match mode {
+                0 => Vec::new(),
+                1 => all.filter(|i| !in_first.contains(i) && coin(pick, *i, 2)).collect(),
+                2 => first
+                    .indices
+                    .iter()
+                    .copied()
+                    .filter(|&i| in_partial_cell(&view, i as usize, &rects[0], resolution))
+                    .filter(|&i| coin(pick, i, 2))
+                    .collect(),
+                3 => first.indices.clone(),
+                4 => first.indices.iter().skip(1).copied().collect(),
+                _ => all.filter(|&i| coin(pick, i, 3)).collect(),
+            };
+            let rows: HashSet<u32> = labeled.iter().map(|&i| view.row_id(i as usize)).collect();
+            let len = hashset_count(&view, first, &rows);
+            let n = [0, 1, len.saturating_sub(1), len, len + 1, len + 7][n_kind];
+            let wants: Vec<usize> = (0..rects.len()).map(|j| (n + 3 * j) % (len + 9)).collect();
+            for threads in [1, 4] {
+                let mut engine = ExtractionEngine::new(view_from(&points), kind);
+                engine.set_pool(Pool::new(threads));
+                let excluded = engine.exclusions(labeled.iter().copied());
+                let outs = engine.query_batch_outputs(&rects);
+                for (out, reference) in outs.iter().zip(&outputs) {
+                    prop_assert_eq!(&**out, reference, "engine result on {:?}", kind);
+                    let want = hashset_count(&view, reference, &rows);
+                    prop_assert_eq!(
+                        engine.count_candidates(out, &excluded),
+                        want,
+                        "count_candidates on {:?}", kind
+                    );
+                    prop_assert_eq!(
+                        engine.has_candidates(out, &excluded),
+                        want > 0,
+                        "has_candidates on {:?}", kind
+                    );
+                }
+
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut ref_rng = rng.clone();
+                let got = engine.sample_in_excluding(&rects[0], n, &mut rng, &excluded);
+                let want = hashset_select(&view, first, n, &mut ref_rng, &rows);
+                prop_assert_eq!(&got, &want, "sample_in_excluding on {:?} n {}", kind, n);
+                prop_assert_eq!(rng.clone().next_u64(), ref_rng.clone().next_u64());
+
+                let got = engine.select_batch_streams(&outs, &wants, &mut rng, &excluded);
+                let active: Vec<usize> = (0..wants.len()).filter(|&j| wants[j] > 0).collect();
+                let mut streams = ref_rng.split_streams(active.len());
+                let mut want: Vec<Vec<Sample>> = vec![Vec::new(); wants.len()];
+                for (k, &j) in active.iter().enumerate() {
+                    want[j] = hashset_select(&view, &outputs[j], wants[j], &mut streams[k], &rows);
+                }
+                prop_assert_eq!(&got, &want, "select_batch_streams on {:?} t{}", kind, threads);
+                prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "RNG after the batch");
+            }
+        }
+    }
+
+    /// Any view the `aide-view/1` loader accepts is one the grid answers
+    /// exactly like the scan. Lane values are drawn in `[0, 100]` with the
+    /// bounds themselves frequent; in some cases one value is replaced by
+    /// an out-of-domain or non-finite one, and the loader must then
+    /// refuse the file (the grid's full-cell shortcut would otherwise
+    /// return rows the scan rejects).
+    fn grid_matches_scan_on_every_view_the_loader_accepts(
+        values in gen::vec_of((gen::usize_in(0..4), gen::f64_in(0.0..100.0)), 0..400),
+        corrupt in gen::usize_in(0..8),
+        at in gen::usize_in(0..400),
+        corners in rect_corners(),
+        threads in gen::usize_in(1..5),
+    ) {
+        let n = values.len() / 2;
+        let mut data: Vec<f64> = values[..2 * n]
+            .iter()
+            .map(|&(kind, v)| match kind {
+                0 => 0.0,
+                1 => 100.0,
+                _ => v,
+            })
+            .collect();
+        let bad = [-5.0, 150.0, 100.000_000_001, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let corrupted = n > 0 && corrupt < bad.len();
+        if corrupted {
+            data[at % (2 * n)] = bad[corrupt];
+        }
+        let mapper = SpaceMapper::new(
+            vec!["x".into(), "y".into()],
+            vec![Domain::new(0.0, 100.0); 2],
+        );
+        let mut file = Vec::new();
+        write_view_to(&NumericView::new(mapper, data, (0..n as u32).collect()), &mut file)
+            .expect("in-memory write");
+        let loaded = load_view_from(&mut &file[..]);
+        prop_assert_eq!(loaded.is_err(), corrupted, "loader verdict");
+        let Ok(view) = loaded else {
+            return Ok(());
+        };
+        let grid = GridIndex::build_with(&view, &Pool::new(threads));
+        for rect in [rect_from(&corners), Rect::full_domain(2)] {
+            let mut from_grid = grid.query(&view, &rect).indices;
+            from_grid.sort_unstable();
+            prop_assert_eq!(&from_grid, &ScanIndex::new().query(&view, &rect).indices);
+            prop_assert_eq!(grid.count(&view, &rect).count, from_grid.len());
         }
     }
 }

@@ -338,8 +338,10 @@ impl Tracer {
     }
 
     /// Closes the open phase span: emits `phase_end` with the given
-    /// per-phase totals and clears the ambient phase.
-    pub fn end_phase(&self, samples: u64, queries: u64, dur_us: u64) {
+    /// per-phase totals — samples taken, extraction queries, microseconds
+    /// spent selecting samples from query results, and the phase's
+    /// wall-clock — and clears the ambient phase.
+    pub fn end_phase(&self, samples: u64, queries: u64, select_us: u64, dur_us: u64) {
         self.with_state(|s| {
             let t_us = s.epoch.elapsed().as_micros() as u64;
             let phase = s.phase.take().unwrap_or("?");
@@ -352,6 +354,7 @@ impl Tracer {
                     ("waves", Value::U64(s.wave)),
                     ("samples", Value::U64(samples)),
                     ("queries", Value::U64(queries)),
+                    ("select_us", Value::U64(select_us)),
                     ("dur_us", Value::U64(dur_us)),
                 ],
             });
@@ -525,7 +528,7 @@ mod tests {
         t.begin_phase("boundary");
         t.wave(2, 2, 1, 1, 100, 5, 42);
         t.wave(1, 1, 1, 0, 0, 3, 17);
-        t.end_phase(8, 3, 1234);
+        t.end_phase(8, 3, 56, 1234);
         let events = t.drain();
         assert_eq!(
             events[2].to_jsonl(true),
@@ -540,6 +543,10 @@ mod tests {
             events[4].to_jsonl(true),
             r#"{"k":"phase_end","iter":7,"phase":"boundary","waves":2,"samples":8,"queries":3}"#
         );
+        // The selection time is a wall-clock field: only unstripped output has it.
+        assert!(events[4]
+            .to_jsonl(false)
+            .ends_with(r#""queries":3,"select_us":56,"dur_us":1234}"#));
     }
 
     #[test]

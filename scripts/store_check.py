@@ -13,7 +13,8 @@ none of its code:
                lo f64 bit pattern (u64 LE), hi f64 bit pattern (u64 LE)
                -- bounds finite, lo <= hi
     lanes      dims x n f64 bit patterns (u64 LE), lane-major
-               -- every value finite (no NaN, no +/-inf)
+               -- every value in the normalized domain [0, 100]
+                  (so no NaN, no +/-inf)
     row_ids    n u32 LE
     (exact EOF -- trailing bytes are an error)
 
@@ -25,9 +26,10 @@ Self-test
 
 ``--self-test`` builds a tiny valid file in memory plus corrupted
 variants (bad magic, zero dims, inverted domain, NaN bound, row count
-beyond the u32 row-id range, NaN lane value, truncated lane, trailing
-garbage) and asserts the checker accepts exactly the valid one. CI runs it before validating real files so a broken checker
-cannot wave malformed datasets through.
+beyond the u32 row-id range, NaN lane value, out-of-domain lane value,
+truncated lane, trailing garbage) and asserts the checker accepts
+exactly the valid one. CI runs it before validating real files so a
+broken checker cannot wave malformed datasets through.
 """
 
 from __future__ import annotations
@@ -57,13 +59,16 @@ def _take(buf: io.BufferedIOBase, size: int, what: str) -> bytes:
     return data
 
 
-def _first_non_finite(values):
-    """Index of the first NaN or infinity in `values`, else None. A finite
-    sum proves every value finite, so the per-value scan runs only when the
-    sum is not (an overflowing sum of finite values falls through to it)."""
-    if math.isfinite(sum(values)):
+def _first_out_of_domain(values):
+    """Index of the first value outside [0, 100] (NaN and infinities
+    included) in `values`, else None. A finite sum proves there is no NaN,
+    and then min and max bound every value, so the per-value scan runs
+    only when a chunk is bad (or its finite sum overflows)."""
+    if (not values or math.isfinite(sum(values))
+            and min(values) >= 0.0 and max(values) <= 100.0):
         return None
-    return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+    return next((i for i, v in enumerate(values) if not 0.0 <= v <= 100.0),
+                None)
 
 
 def validate(buf: io.BufferedIOBase):
@@ -93,7 +98,7 @@ def validate(buf: io.BufferedIOBase):
             raise FormatError(f"domain {d} [{lo}, {hi}] is not a finite ordered range")
         domains.append((lo, hi))
     for d in range(dims):
-        # Streamed in chunks; every value must be a finite f64.
+        # Streamed in chunks; every value must lie in [0, 100].
         row = 0
         remaining = n * 8
         while remaining:
@@ -101,11 +106,11 @@ def validate(buf: io.BufferedIOBase):
             values = array.array("d", _take(buf, step, f"lane {d}"))
             if sys.byteorder != "little":
                 values.byteswap()
-            bad = _first_non_finite(values)
+            bad = _first_out_of_domain(values)
             if bad is not None:
                 raise FormatError(
-                    f"lane {d} ({names[d]!r}) holds non-finite value "
-                    f"{values[bad]} at row {row + bad}")
+                    f"lane {d} ({names[d]!r}) holds value {values[bad]} "
+                    f"outside [0, 100] at row {row + bad}")
             row += len(values)
             remaining -= step
     remaining = n * 4
@@ -190,7 +195,11 @@ def self_test() -> int:
         # Lane 1, row 2 (the sample holds 2 lanes of 5 rows).
         ("nan lane value", lambda d: d.__setitem__(
             slice(lane0 + 8 * 7, lane0 + 8 * 8), struct.pack("<Q", nan_bits)),
-            "non-finite value nan at row 2"),
+            "value nan outside [0, 100] at row 2"),
+        # Lane 0, row 3: finite but past the normalized domain.
+        ("out-of-domain lane value", lambda d: d.__setitem__(
+            slice(lane0 + 8 * 3, lane0 + 8 * 4), struct.pack("<d", 150.0)),
+            "value 150.0 outside [0, 100] at row 3"),
         ("truncated lane", lambda d: d.__delitem__(slice(len(d) - 30, len(d)))),
         ("trailing garbage", lambda d: d.extend(b"\x00")),
     ]

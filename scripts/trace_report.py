@@ -20,7 +20,9 @@ Modes
     fields; ``t_us`` must be monotonically non-decreasing; iteration and
     phase spans must nest (``iter_start``/``iter_end`` with matching
     ``iter``, ``phase_start``/``phase_end`` with matching ``phase``,
-    waves and plan events only inside their phase).
+    waves and plan events only inside their phase); a ``phase_end``
+    ``select_us`` (time spent selecting samples, optional) must be an
+    integer no larger than the phase's ``dur_us``.
 
 ``trace_report.py --fingerprint TRACE``
     SHA-256 of the timing-stripped trace (drops ``t_us`` and every field
@@ -57,7 +59,7 @@ EVENT_SCHEMA = {
               "cache_misses", "tuples_examined", "tuples_returned",
               "dur_us"], ["phase"]),
     "phase_end": (["iter", "phase", "waves", "samples", "queries",
-                   "dur_us"], []),
+                   "dur_us"], ["select_us"]),
     "eval": (["iter", "points", "f", "precision", "recall", "tree_leaves",
               "tree_depth", "dur_us"], ["phase"]),
     "model_fit": (["model", "samples", "rebuilt", "fit_us"],
@@ -190,6 +192,11 @@ def validate(path):
             elif ev.get("phase") != open_phase:
                 err(no, f"phase_end for {ev.get('phase')!r} "
                         f"inside phase {open_phase!r}")
+            sel, dur = ev.get("select_us", 0), ev.get("dur_us")
+            if not isinstance(sel, int) or sel < 0 or (
+                    isinstance(dur, int) and sel > dur):
+                err(no, f"phase_end select_us {sel!r} is not an integer "
+                        f"in [0, dur_us={dur!r}]")
             open_phase = None
         elif kind in IN_PHASE_ONLY or kind == "wave":
             if open_phase is None:
@@ -227,7 +234,7 @@ def report(path):
     out.append("")
     out.append(f"{'iter':>4} {'phase':<13} {'waves':>5} {'samples':>7} "
                f"{'queries':>7} {'hit/miss':>9} {'tuples':>8} "
-               f"{'ms':>8} {'F':>6}")
+               f"{'ms':>8} {'F':>6} {'select ms':>9}")
 
     iters = sorted({e["iter"] for e in evs if "iter" in e})
     for it in iters:
@@ -239,11 +246,13 @@ def report(path):
             hits = sum(w["cache_hits"] for w in waves)
             miss = sum(w["cache_misses"] for w in waves)
             tup = sum(w["tuples_examined"] for w in waves)
+            select = (f"{ph['select_us'] / 1000:>9.2f}"
+                      if "select_us" in ph else f"{'-':>9}")
             out.append(
                 f"{it:>4} {ph['phase']:<13} {ph['waves']:>5} "
                 f"{ph['samples']:>7} {ph['queries']:>7} "
                 f"{f'{hits}/{miss}':>9} {tup:>8} "
-                f"{ph['dur_us'] / 1000:>8.2f}")
+                f"{ph['dur_us'] / 1000:>8.2f} {'':>6} {select}")
         for ev in (e for e in mine if e["k"] == "model_fit"):
             detail = (f"{ev['leaves']} leaves" if "leaves" in ev
                       else f"{ev['clusters']} clusters" if "clusters" in ev
@@ -352,6 +361,14 @@ def self_test():
     del bad_fit[6]["rebuilt"]
     run_case(bad_fit, False, "model_fit missing rebuilt")
 
+    # phase_end may carry the phase's selection time, never above dur_us.
+    timed = [dict(e) for e in good]
+    timed[5]["select_us"] = 1
+    run_case(timed, True, "phase_end with select_us")
+    bad_select = [dict(e) for e in good]
+    bad_select[5]["select_us"] = 2
+    run_case(bad_select, False, "select_us above dur_us")
+
     def write_trace(lines):
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".jsonl", delete=False) as fh:
@@ -376,18 +393,26 @@ def self_test():
         os.unlink(a)
         os.unlink(b)
 
-    # The report renders the model-fit rows.
-    path = write_trace(good)
-    try:
-        rendered = report(path)
-    finally:
-        os.unlink(path)
-    for needle in ("fit cart", "incremental, 3 leaves"):
-        if needle not in rendered:
+    # The report renders the model-fit rows and the selection column
+    # (a dash for traces written before phase_end carried select_us).
+    for lines, needles, select in (
+            (good, ("fit cart", "incremental, 3 leaves", "select ms"), "-"),
+            (timed, (), "0.00")):
+        path = write_trace(lines)
+        try:
+            rendered = report(path)
+        finally:
+            os.unlink(path)
+        row = next(r for r in rendered.splitlines() if " discovery " in r)
+        for needle in needles:
+            if needle not in rendered:
+                raise SystemExit(
+                    f"self-test report: {needle!r} missing from:\n{rendered}")
+        if row.split()[-1] != select:
             raise SystemExit(
-                f"self-test report: {needle!r} missing from:\n{rendered}")
+                f"self-test report: select column of {row!r} is not {select}")
 
-    print("self-test OK (9 cases)")
+    print("self-test OK (11 cases)")
 
 
 def main():
