@@ -7,13 +7,26 @@ use std::sync::Arc;
 use aide_bench::harness::{
     cached_uniform_view, dense_view, sampled_replica, sdss_table, workloads, ExpOptions,
 };
-use aide_core::{evaluate_model_with, ExplorationSession, SessionConfig, SizeClass};
+use aide_core::{
+    evaluate_model_indexed, evaluate_model_with, ExplorationSession, SessionConfig, SizeClass,
+    TargetQuery,
+};
 use aide_data::{load_view, NumericView};
 use aide_index::{ExtractionEngine, GridIndex, IndexKind, RegionIndex};
 use aide_ml::{DecisionTree, TreeParams};
 use aide_testkit::bench::{black_box, Harness};
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
+
+/// A tree fitted on the first 2 000 rows of `view`, labeled by `target`.
+fn fit_on_prefix(view: &NumericView, target: &TargetQuery) -> DecisionTree {
+    let n_train = view.len().min(2_000);
+    let labels: Vec<bool> = (0..n_train)
+        .map(|i| target.contains(&view.point_vec(i)))
+        .collect();
+    let data: Vec<f64> = (0..n_train).flat_map(|i| view.point_vec(i)).collect();
+    DecisionTree::fit(2, &data, &labels, &TreeParams::default())
+}
 
 fn main() {
     let mut h = Harness::from_args("dataset_scale");
@@ -77,12 +90,7 @@ fn main() {
             seed: 3,
         };
         let w = workloads(&full, 1, SizeClass::Large, 2, &options, 0x9B)[0].clone();
-        let n_train = full.len().min(2_000);
-        let labels: Vec<bool> = (0..n_train)
-            .map(|i| w.target.contains(&full.point_vec(i)))
-            .collect();
-        let data: Vec<f64> = (0..n_train).flat_map(|i| full.point_vec(i)).collect();
-        let tree = DecisionTree::fit(2, &data, &labels, &TreeParams::default());
+        let tree = fit_on_prefix(&full, &w.target);
         for threads in [1usize, 4] {
             let pool = Pool::new(threads);
             let (tree, full, target) = (&tree, &full, &w.target);
@@ -127,7 +135,8 @@ fn main() {
         });
         // `RegionIndex::count` on the built index: the access path, not
         // the cache.
-        let count_index = GridIndex::build_with(&view, &Pool::from_env(0));
+        let grid = Arc::new(GridIndex::build_with(&view, &Pool::from_env(0)));
+        let count_index = Arc::clone(&grid);
         let count_view = Arc::clone(&view);
         let count_rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
         group.bench("count_uncached", move || {
@@ -139,6 +148,7 @@ fn main() {
             seed: 3,
         };
         let w = workloads(&view, 1, SizeClass::Large, 2, &options, 0xA7)[0].clone();
+        let (tree, target) = (fit_on_prefix(&view, &w.target), w.target.clone());
         let session_view = Arc::clone(&view);
         group.bench_batched(
             "session_3iters",
@@ -166,6 +176,24 @@ fn main() {
                 session
             },
         );
+        drop(group);
+
+        // Full-view F-measure at this scale as a session computes it:
+        // counted over the grid's cells, testing only the rows of cells a
+        // split or a target edge cuts (1-thread pool; compare with
+        // `full_eval_t1`, the per-row loop).
+        let mut group = h.group("dataset_scale/eval");
+        let eval_view = Arc::clone(&view);
+        let pool = Pool::serial();
+        group.bench(&format!("cells/{tag}"), move || {
+            evaluate_model_indexed(
+                Some(black_box(&tree)),
+                &eval_view,
+                grid.as_ref(),
+                &target,
+                &pool,
+            )
+        });
         drop(group);
     }
 

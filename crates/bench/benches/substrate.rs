@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use aide_bench::harness::{dense_view, sdss_table};
-use aide_core::{evaluate_model_with, TargetQuery};
+use aide_bench::harness::{dense_view, multi_dim_view, sdss_table, uniform_lanes_view};
+use aide_core::{evaluate_model_indexed, evaluate_model_with, SizeClass, TargetQuery};
 use aide_index::{
     ExtractionEngine, GridIndex, IndexKind, RegionIndex, ScanIndex, SharedRegionCache,
 };
@@ -152,6 +152,52 @@ fn main() {
         });
         group.bench(&format!("grid_build_200k/t{threads}"), || {
             GridIndex::build_with(black_box(&view), &pool)
+        });
+    }
+    drop(group);
+
+    // --- F-measure from grid cells ---------------------------------------------
+    // `parallel/eval_200k/t1`'s evaluation as a session runs it: counted
+    // over the grid's cells, so only the rows of cells a tree split or a
+    // target edge cuts are tested. The guard outside the timer pins the
+    // matrix to the per-row one.
+    let mut group = h.group("substrate/eval");
+    let grid = GridIndex::build_with(&view, &Pool::from_env(0));
+    let serial = Pool::serial();
+    assert_eq!(
+        evaluate_model_indexed(Some(&tree), &view, &grid, &target, &serial),
+        evaluate_model_with(Some(&tree), &view, &target, &serial),
+        "cell-counted matrix differs from the per-row one"
+    );
+    group.bench("cells_200k", || {
+        evaluate_model_indexed(Some(black_box(&tree)), &view, &grid, &target, &serial)
+    });
+    // The evaluators on 5-D views, where the heuristic grid holds only a
+    // few rows per non-empty cell: `cells_*` counts by the grid's cells,
+    // `rows_*` is the per-row loop. The SDSS-like view (about 5 rows per
+    // non-empty cell) is one a session counts by cells; the uniform one
+    // (about 1.5) is one it scans row by row, as the grid is slower there.
+    let sdss_5d = multi_dim_view(&table, 5);
+    let uniform_5d = uniform_lanes_view(200_000, 5, 7);
+    for (tag, view) in [("sdss", &sdss_5d), ("uniform", &uniform_5d)] {
+        let mut rng = Xoshiro256pp::seed_from_u64(13);
+        let target = TargetQuery::generate(view, 1, SizeClass::Large, 2, &mut rng);
+        let labels: Vec<bool> = (0..1_000)
+            .map(|i| target.contains(&view.point_vec(i)))
+            .collect();
+        let data: Vec<f64> = (0..1_000).flat_map(|i| view.point_vec(i)).collect();
+        let tree = DecisionTree::fit(5, &data, &labels, &TreeParams::default());
+        let grid = GridIndex::build_with(view, &Pool::from_env(0));
+        assert_eq!(
+            evaluate_model_indexed(Some(&tree), view, &grid, &target, &serial),
+            evaluate_model_with(Some(&tree), view, &target, &serial),
+            "cell-counted 5-D matrix differs from the per-row one"
+        );
+        group.bench(&format!("cells_5d_{tag}_200k"), || {
+            evaluate_model_indexed(Some(black_box(&tree)), view, &grid, &target, &serial)
+        });
+        group.bench(&format!("rows_5d_{tag}_200k"), || {
+            evaluate_model_with(Some(black_box(&tree)), view, &target, &serial)
         });
     }
     drop(group);

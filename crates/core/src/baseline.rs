@@ -25,7 +25,7 @@ use aide_util::geom::Rect;
 use aide_util::rng::Xoshiro256pp;
 
 use crate::config::{PhaseToggles, SessionConfig, StopCondition};
-use crate::eval::evaluate_model;
+use crate::eval::{eval_index, evaluate_model_indexed};
 use crate::labeled::LabeledSet;
 use crate::session::{IterationReport, SessionResult};
 use crate::target::{SimulatedUser, TargetQuery};
@@ -103,7 +103,13 @@ pub fn run_random(
         }
         let model_fit = fit_start.elapsed();
         if iteration % config.eval_every.max(1) == 0 || new_samples == 0 {
-            let m = evaluate_model(tree.as_ref(), &eval_view, user.target());
+            let m = evaluate_model_indexed(
+                tree.as_ref(),
+                &eval_view,
+                eval_index(&engine, &eval_view),
+                user.target(),
+                &engine.pool(),
+            );
             last_f = (m.f_measure(), m.precision(), m.recall());
         }
         let num_regions = tree
@@ -239,7 +245,13 @@ pub fn run_uncertainty(
         }
         let model_fit = fit_start.elapsed();
         if iteration.is_multiple_of(config.eval_every.max(1)) || new_samples == 0 {
-            let m = evaluate_model(tree.as_ref(), &eval_view, user.target());
+            let m = evaluate_model_indexed(
+                tree.as_ref(),
+                &eval_view,
+                eval_index(&engine, &eval_view),
+                user.target(),
+                &engine.pool(),
+            );
             last_f = (m.f_measure(), m.precision(), m.recall());
         }
         let num_regions = tree

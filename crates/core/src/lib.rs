@@ -35,7 +35,7 @@ pub mod viz;
 
 pub use builder::Explorer;
 pub use config::{DiscoveryStrategy, Hints, PhaseToggles, SessionConfig, StopCondition};
-pub use eval::{evaluate_model, evaluate_model_with};
+pub use eval::{evaluate_model_indexed, evaluate_model_with};
 pub use labeled::LabeledSet;
 pub use model_state::{DiscoveryState, MisclassState};
 pub use nonlinear::{Ellipsoid, NonLinearInterest, NonLinearOracle};

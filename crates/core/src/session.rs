@@ -27,7 +27,7 @@ use aide_util::trace::Value;
 use crate::boundary::exploit_boundaries;
 use crate::config::{SessionConfig, StopCondition};
 use crate::discovery::DiscoveryPhase;
-use crate::eval::evaluate_model_traced;
+use crate::eval::{eval_index, evaluate_model_traced};
 use crate::labeled::LabeledSet;
 use crate::misclassified::exploit_misclassified;
 use crate::model_state::MisclassState;
@@ -749,6 +749,7 @@ impl ExplorationSession {
                 let m = evaluate_model_traced(
                     self.tree.as_ref(),
                     &self.eval_view,
+                    eval_index(&self.engine, &self.eval_view),
                     truth,
                     &self.pool,
                     &tracer,
@@ -893,6 +894,7 @@ impl ExplorationSession {
         let m = evaluate_model_traced(
             self.tree.as_ref(),
             &self.eval_view,
+            eval_index(&self.engine, &self.eval_view),
             truth,
             &self.pool,
             &self.config.tracer,

@@ -10,6 +10,8 @@
 //! target (binary, noise-free relevance feedback, §2.1), exactly as the
 //! paper's user simulation does.
 
+use std::cmp::Ordering;
+
 use aide_data::NumericView;
 use aide_util::geom::{any_contains, Rect};
 use aide_util::rng::Rng;
@@ -198,6 +200,46 @@ impl TargetQuery {
         any_contains(&self.areas, point)
     }
 
+    /// Ground-truth relevance shared by every point of a set that is known
+    /// only through `compare` (the contract of
+    /// [`DecisionTree::block_label`](aide_ml::DecisionTree::block_label)):
+    /// `Some(true)` if some area holds every point, `Some(false)` if every
+    /// area excludes every point, `None` otherwise.
+    ///
+    /// Areas are closed, so a set lies inside one if on every dimension
+    /// its points compare `Greater`/`Equal` with `lo` and `Less`/`Equal`
+    /// with `hi`, and outside it if on some dimension they compare `Less`
+    /// with `lo` or `Greater` with `hi`.
+    pub fn block_contains(&self, compare: impl Fn(usize, f64) -> Option<Ordering>) -> Option<bool> {
+        let mut excluded = true;
+        for area in &self.areas {
+            let mut inside = true;
+            let mut outside = false;
+            for d in 0..self.dims {
+                let lo = compare(d, area.lo(d));
+                let hi = compare(d, area.hi(d));
+                if lo == Some(Ordering::Less) || hi == Some(Ordering::Greater) {
+                    outside = true;
+                    break;
+                }
+                inside &= matches!(lo, Some(Ordering::Greater | Ordering::Equal))
+                    && matches!(hi, Some(Ordering::Less | Ordering::Equal));
+            }
+            if outside {
+                continue;
+            }
+            if inside {
+                return Some(true);
+            }
+            excluded = false;
+        }
+        if excluded {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
     /// Number of relevant tuples in a view.
     pub fn count_relevant(&self, view: &NumericView) -> usize {
         let mut p = vec![0.0; view.dims()];
@@ -356,6 +398,36 @@ mod tests {
             }
         }
         assert!(outside >= 10, "only {outside}/20 spread targets off-blob");
+    }
+
+    #[test]
+    fn block_contains_is_decided_only_when_every_point_agrees() {
+        let target = TargetQuery::new(vec![
+            Rect::new(vec![10.0, 10.0], vec![20.0, 20.0]),
+            Rect::new(vec![50.0, 50.0], vec![60.0, 60.0]),
+        ]);
+        // A set known to lie in the closed box [lo, hi].
+        let boxed = |lo: [f64; 2], hi: [f64; 2]| {
+            target.block_contains(move |d, t| {
+                if hi[d] < t {
+                    Some(Ordering::Less)
+                } else if lo[d] > t {
+                    Some(Ordering::Greater)
+                } else if lo[d] == t && hi[d] == t {
+                    Some(Ordering::Equal)
+                } else {
+                    None
+                }
+            })
+        };
+        assert_eq!(boxed([12.0, 12.0], [18.0, 18.0]), Some(true));
+        assert_eq!(boxed([52.0, 52.0], [58.0, 58.0]), Some(true));
+        assert_eq!(boxed([30.0, 30.0], [40.0, 40.0]), Some(false));
+        assert_eq!(boxed([12.0, 30.0], [18.0, 40.0]), Some(false));
+        assert_eq!(boxed([15.0, 15.0], [25.0, 18.0]), None);
+        // Points exactly on a closed edge are inside.
+        assert_eq!(boxed([10.0, 20.0], [10.0, 20.0]), Some(true));
+        assert_eq!(target.block_contains(|_, _| None), None);
     }
 
     #[test]

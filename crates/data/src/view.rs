@@ -377,16 +377,29 @@ impl NumericView {
 
     /// Scattered-candidate form of the kernel: appends to `out` the
     /// members of `candidates` lying inside `rect`, **preserving candidate
-    /// order** (the k-d leaf sweep and the grid cell sweep rely on their
-    /// bucket order surviving the filter).
+    /// order** (the grid cell sweep relies on its cell order surviving the
+    /// filter).
+    ///
+    /// Branch-free compaction through a stack buffer: every candidate is
+    /// written at the cursor, and the cursor advances only past the ones
+    /// inside `rect`. The kept ones are then pushed one by one, so `out`
+    /// grows exactly as a filtered `extend` would. The region cache keeps
+    /// query outputs as returned, and growing `out` in larger steps
+    /// (reserving a whole chunk, or zero-filling and truncating) raised
+    /// the server's peak resident set.
     pub fn filter_indices_into(&self, rect: &Rect, candidates: &[u32], out: &mut Vec<u32>) {
         assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
-        out.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&i| self.contains_index(rect, i as usize)),
-        );
+        let mut buf = [0u32; 256];
+        for chunk in candidates.chunks(buf.len()) {
+            let mut kept = 0;
+            for &i in chunk {
+                buf[kept] = i;
+                kept += self.contains_index(rect, i as usize) as usize;
+            }
+            for &i in &buf[..kept] {
+                out.push(i);
+            }
+        }
     }
 
     /// Counting twin of [`NumericView::filter_indices_into`].

@@ -222,6 +222,11 @@ impl ExtractionEngine {
         Arc::clone(&self.view)
     }
 
+    /// The built access path over [`ExtractionEngine::view`].
+    pub fn index(&self) -> &dyn RegionIndex {
+        self.index.as_ref()
+    }
+
     /// The access-path kind.
     pub fn kind(&self) -> IndexKind {
         self.kind

@@ -11,10 +11,13 @@
 //! index grouped by cell, and `offsets` (one per cell, plus one) marking
 //! where each cell's slice starts. Each slice is in ascending view order.
 
+use std::ops::Range;
+
 use aide_data::NumericView;
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
 
+use crate::block::{Block, Cell};
 use crate::{CountOutput, QueryOutput, RegionIndex};
 
 /// Grid index over a [`NumericView`]'s normalized points.
@@ -26,6 +29,8 @@ pub struct GridIndex {
     rows: Vec<u32>,
     /// `rows[offsets[c]..offsets[c + 1]]` is cell `c`'s slice.
     offsets: Vec<u32>,
+    /// Number of non-empty cells.
+    nonempty: usize,
 }
 
 impl GridIndex {
@@ -93,6 +98,7 @@ impl GridIndex {
         for &c in &ids {
             offsets[c as usize + 1] += 1;
         }
+        let nonempty = offsets.iter().filter(|&&n| n > 0).count();
         for c in 0..cells {
             offsets[c + 1] += offsets[c];
         }
@@ -108,6 +114,7 @@ impl GridIndex {
             resolution,
             rows,
             offsets,
+            nonempty,
         }
     }
 
@@ -123,22 +130,15 @@ impl GridIndex {
 
     /// Flat cell id of point `i`, read lane-by-lane.
     fn cell_of(view: &NumericView, i: usize, resolution: usize) -> usize {
-        let mut id = 0usize;
-        for d in 0..view.dims() {
-            let x = view.coord(i, d);
-            let b = ((x / 100.0 * resolution as f64) as usize).min(resolution - 1);
-            id = id * resolution + b;
-        }
-        id
+        (0..view.dims()).fold(0, |id, d| {
+            id * resolution + bucket(view.coord(i, d), resolution)
+        })
     }
 
     /// Per-dimension bucket range `[lo_bucket, hi_bucket]` overlapping
     /// `[lo, hi]` on the normalized domain.
     fn bucket_range(&self, lo: f64, hi: f64) -> (usize, usize) {
-        let r = self.resolution as f64;
-        let lo_b = ((lo / 100.0 * r) as usize).min(self.resolution - 1);
-        let hi_b = ((hi / 100.0 * r) as usize).min(self.resolution - 1);
-        (lo_b, hi_b)
+        (bucket(lo, self.resolution), bucket(hi, self.resolution))
     }
 
     /// Calls `visit(cell, rows, full)` for every non-empty cell that
@@ -191,6 +191,13 @@ impl GridIndex {
     }
 }
 
+/// The bucket of normalized coordinate `x` among `resolution` equal-width
+/// buckets of `[0, 100]`. Never decreases as `x` grows, which is what
+/// lets [`Block::compare`] answer from buckets alone.
+pub(crate) fn bucket(x: f64, resolution: usize) -> usize {
+    ((x / 100.0 * resolution as f64) as usize).min(resolution - 1)
+}
+
 fn total_cells(resolution: usize, dims: usize) -> usize {
     resolution.saturating_pow(dims as u32)
 }
@@ -236,6 +243,56 @@ impl RegionIndex for GridIndex {
 
     fn run_key(&self, view: &NumericView, i: u32) -> u32 {
         Self::cell_of(view, i as usize, self.resolution) as u32
+    }
+
+    fn block_count(&self, _view: &NumericView) -> usize {
+        self.nonempty
+    }
+
+    /// The block order is the CSR `rows` array: one block per non-empty
+    /// cell, in ascending flat cell id.
+    fn for_each_block(
+        &self,
+        _view: &NumericView,
+        span: Range<usize>,
+        visit: &mut dyn FnMut(Block<'_>),
+    ) {
+        debug_assert!(span.end <= self.rows.len(), "span past the view");
+        if span.is_empty() {
+            return;
+        }
+        // The cell holding position `span.start`: the last one whose
+        // slice starts at or before it.
+        let first = self.offsets.partition_point(|&o| o as usize <= span.start) - 1;
+        // Its buckets, last dimension fastest; advanced like an odometer
+        // from one cell id to the next.
+        let mut buckets = vec![0; self.dims];
+        let mut id = first;
+        for b in buckets.iter_mut().rev() {
+            *b = id % self.resolution;
+            id /= self.resolution;
+        }
+        for id in first..self.offsets.len() - 1 {
+            let start = (self.offsets[id] as usize).max(span.start);
+            if start >= span.end {
+                break;
+            }
+            let end = (self.offsets[id + 1] as usize).min(span.end);
+            if start < end {
+                let cell = Cell {
+                    buckets: &buckets,
+                    resolution: self.resolution,
+                };
+                visit(Block::in_cell(&self.rows[start..end], cell));
+            }
+            for b in buckets.iter_mut().rev() {
+                *b += 1;
+                if *b < self.resolution {
+                    break;
+                }
+                *b = 0;
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -390,6 +447,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn blocks_partition_the_rows_and_compare_truthfully() {
+        let view = uniform_view(3_000, 2, 9);
+        let idx = GridIndex::with_resolution(&view, 8);
+        let thresholds = [0.0, 12.5, 30.0, 37.5, 62.4, 99.0, 100.0];
+        for chunk in [1, 7, 100, 5_000] {
+            let mut seen = vec![0u8; view.len()];
+            let mut start = 0;
+            while start < view.len() {
+                let end = (start + chunk).min(view.len());
+                idx.for_each_block(&view, start..end, &mut |block| {
+                    assert!(!block.is_empty());
+                    block.for_each_row(|i| {
+                        seen[i] += 1;
+                        for d in 0..2 {
+                            for &t in &thresholds {
+                                if let Some(o) = block.compare(d, t) {
+                                    assert_eq!(view.coord(i, d).partial_cmp(&t), Some(o));
+                                }
+                            }
+                        }
+                    });
+                });
+                start = end;
+            }
+            assert!(seen.iter().all(|&s| s == 1), "chunk {chunk}");
+        }
+        let mut blocks = 0;
+        idx.for_each_block(&view, 0..view.len(), &mut |_| blocks += 1);
+        assert_eq!(blocks, idx.block_count(&view));
+        assert_eq!(blocks, (0..64).filter(|&c| !idx.cell(c).is_empty()).count());
     }
 
     #[test]

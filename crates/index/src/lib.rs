@@ -17,21 +17,27 @@
 //!   wall-clock time (the paper's "sample extraction time");
 //! * [`Exclusions`] — the session's labeled rows, keyed so that removing
 //!   them from a query result costs O(|labels| · log) rather than a pass
-//!   over the result.
+//!   over the result;
+//! * [`Block`] — a set of rows plus what the access path knows of their
+//!   coordinates, the unit the F-measure evaluator counts by.
 
 #![deny(missing_docs)]
 
+pub mod block;
 pub mod cache;
 pub mod engine;
 pub mod exclusions;
 pub mod grid;
 pub mod scan;
 
+pub use block::Block;
 pub use cache::{CacheStats, SharedRegionCache};
 pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
 pub use exclusions::Exclusions;
 pub use grid::GridIndex;
 pub use scan::ScanIndex;
+
+use std::ops::Range;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
@@ -96,6 +102,25 @@ pub trait RegionIndex: Send + Sync {
     /// falls in, should a query return it: the flat cell id for
     /// [`GridIndex`], `0` for [`ScanIndex`].
     fn run_key(&self, view: &NumericView, i: u32) -> u32;
+
+    /// Calls `visit` for the blocks at positions `span` of this access
+    /// path's block order: the view's rows split into blocks (one per
+    /// non-empty cell for [`GridIndex`], one holding every row for
+    /// [`ScanIndex`]) laid end to end, so positions run over
+    /// `0..view.len()`. A block that an end of `span` cuts is clipped to
+    /// it. Cutting `0..view.len()` into spans therefore visits every row
+    /// exactly once, whatever the cut points.
+    fn for_each_block(
+        &self,
+        view: &NumericView,
+        span: Range<usize>,
+        visit: &mut dyn FnMut(Block<'_>),
+    );
+
+    /// Number of blocks [`RegionIndex::for_each_block`] visits over
+    /// `0..view.len()`: the non-empty cells for [`GridIndex`], one (none
+    /// for an empty view) for [`ScanIndex`].
+    fn block_count(&self, view: &NumericView) -> usize;
 
     /// Human-readable name for diagnostics and benches.
     fn name(&self) -> &'static str;

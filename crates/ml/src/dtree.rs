@@ -15,6 +15,8 @@
 //! 2. its split rules expose which boundaries moved between iterations,
 //!    which drives the adaptive boundary-exploitation phase (§5.2).
 
+use std::cmp::Ordering;
+
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
 
@@ -150,6 +152,52 @@ impl DecisionTree {
                     };
                 }
             }
+        }
+    }
+
+    /// The label [`DecisionTree::predict`] gives every point of a set that
+    /// is known only through `compare`: `compare(dim, t)` is `Some(o)` if
+    /// `point[dim].partial_cmp(&t) == Some(o)` for every point of the set,
+    /// and `None` if the points differ or it is not known. Returns `None`
+    /// if the leaves the set can reach disagree.
+    ///
+    /// The walk follows [`DecisionTree::predict`]'s rule (`x <= t` goes
+    /// left): it goes left on `Less`/`Equal`, right on `Greater`, and into
+    /// both children on `None`.
+    pub fn block_label(&self, compare: impl Fn(usize, f64) -> Option<Ordering>) -> Option<bool> {
+        let mut label = None;
+        if self.block_walk(self.root, &compare, &mut label) {
+            label
+        } else {
+            None
+        }
+    }
+
+    /// Visits the leaves below `node` that [`DecisionTree::block_label`]'s
+    /// set can reach; false as soon as one disagrees with `label` (which
+    /// the first leaf sets).
+    fn block_walk(
+        &self,
+        node: usize,
+        compare: &impl Fn(usize, f64) -> Option<Ordering>,
+        label: &mut Option<bool>,
+    ) -> bool {
+        match &self.nodes[node] {
+            Node::Leaf { label: leaf, .. } => *label.get_or_insert(*leaf) == *leaf,
+            Node::Split {
+                dim,
+                threshold,
+                left,
+                right,
+                ..
+            } => match compare(*dim, *threshold) {
+                Some(Ordering::Less | Ordering::Equal) => self.block_walk(*left, compare, label),
+                Some(Ordering::Greater) => self.block_walk(*right, compare, label),
+                None => {
+                    self.block_walk(*left, compare, label)
+                        && self.block_walk(*right, compare, label)
+                }
+            },
         }
     }
 
@@ -1105,6 +1153,43 @@ mod tests {
             }
         }
         (data, labels)
+    }
+
+    #[test]
+    fn block_label_follows_known_comparisons_and_flags_disagreement() {
+        let (data, labels) = figure2_data();
+        let tree = DecisionTree::fit(2, &data, &labels, &TreeParams::default());
+        // A set known only to lie in a box [lo, hi] (closed): compare from
+        // the box bounds, as a grid cell would from its buckets.
+        let boxed = |lo: [f64; 2], hi: [f64; 2]| {
+            tree.block_label(move |d, t| {
+                if hi[d] < t {
+                    Some(Ordering::Less)
+                } else if lo[d] > t {
+                    Some(Ordering::Greater)
+                } else {
+                    None
+                }
+            })
+        };
+        // Inside one leaf region of Figure 2: every point agrees.
+        assert_eq!(boxed([25.0, 2.0], [35.0, 8.0]), Some(true));
+        assert_eq!(boxed([5.0, 2.0], [15.0, 8.0]), Some(false));
+        assert_eq!(boxed([5.0, 11.0], [15.0, 14.0]), Some(true));
+        // Straddling the age = 20 split with dosage <= 10: relevant on one
+        // side, irrelevant on the other.
+        assert_eq!(boxed([15.0, 2.0], [25.0, 8.0]), None);
+        // Nothing known: every leaf is reachable, and they disagree.
+        assert_eq!(tree.block_label(|_, _| None), None);
+        // A point-sized box agrees with predict everywhere.
+        for i in 0..labels.len() {
+            let p = [data[2 * i], data[2 * i + 1]];
+            let exact = tree.block_label(|d, t| p[d].partial_cmp(&t));
+            assert_eq!(exact, Some(tree.predict(&p)), "point {p:?}");
+        }
+        // A single leaf labels anything, even with nothing known.
+        let leaf = DecisionTree::fit(2, &data[..2], &labels[..1], &TreeParams::default());
+        assert_eq!(leaf.block_label(|_, _| None), Some(labels[0]));
     }
 
     #[test]

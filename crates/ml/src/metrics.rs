@@ -31,11 +31,18 @@ impl ConfusionMatrix {
     /// Records one observation.
     #[inline]
     pub fn record(&mut self, predicted: bool, actual: bool) {
+        self.record_n(predicted, actual, 1);
+    }
+
+    /// Records `n` observations that share one prediction and one truth
+    /// value.
+    #[inline]
+    pub fn record_n(&mut self, predicted: bool, actual: bool, n: u64) {
         match (predicted, actual) {
-            (true, true) => self.tp += 1,
-            (true, false) => self.fp += 1,
-            (false, true) => self.fn_ += 1,
-            (false, false) => self.tn += 1,
+            (true, true) => self.tp += n,
+            (true, false) => self.fp += n,
+            (false, true) => self.fn_ += n,
+            (false, false) => self.tn += n,
         }
     }
 

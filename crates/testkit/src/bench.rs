@@ -31,7 +31,9 @@
 //! measurement; `cargo test` compiles and runs the same binary *without*
 //! `--bench`, which runs every benchmark exactly once as a smoke test and
 //! writes no JSON. A positional argument (`cargo bench -- <filter>`)
-//! selects benchmarks by substring.
+//! selects benchmarks by substring. `--help` prints usage; any other
+//! unknown flag is an error (exit 2), so a mistyped flag never runs the
+//! whole suite. libtest's own flags are accepted and ignored.
 
 use std::env;
 use std::fs;
@@ -81,16 +83,22 @@ pub struct Harness {
 impl Harness {
     /// Builds a harness from the process arguments. `name` becomes the
     /// output file stem (`target/bench/<name>.json`).
+    ///
+    /// `--help` prints usage and exits 0; an unknown flag or a second
+    /// filter prints usage and exits 2.
     pub fn from_args(name: &str) -> Self {
-        let mut filter = None;
-        let mut full = env::var("AIDE_BENCH_FORCE").is_ok_and(|v| v == "1");
-        for arg in env::args().skip(1) {
-            match arg.as_str() {
-                "--bench" => full = true,
-                s if s.starts_with('-') => {} // --test, --nocapture, ...
-                s => filter = Some(s.to_string()),
+        let (bench, filter) = match parse_args(env::args().skip(1)) {
+            Ok(Command::Run { bench, filter }) => (bench, filter),
+            Ok(Command::Help) => {
+                println!("{}", usage(name));
+                std::process::exit(0);
             }
-        }
+            Err(msg) => {
+                eprintln!("{name}: {msg}\n\n{}", usage(name));
+                std::process::exit(2);
+            }
+        };
+        let full = bench || env::var("AIDE_BENCH_FORCE").is_ok_and(|v| v == "1");
         Self {
             name: name.to_string(),
             filter,
@@ -269,6 +277,83 @@ impl Harness {
     }
 }
 
+/// What a bench binary's command line asks for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Command {
+    /// Run the benchmarks whose names contain `filter` (all if `None`):
+    /// measured if `bench`, else once each as a smoke test.
+    Run {
+        /// `--bench` was given (`cargo bench` passes it).
+        bench: bool,
+        /// The positional name filter.
+        filter: Option<String>,
+    },
+    /// `--help` or `-h`: print usage and exit.
+    Help,
+}
+
+/// libtest flags that take no value. Test runners may pass them to every
+/// test binary, bench targets included; they change nothing here.
+const LIBTEST_SWITCHES: [&str; 8] = [
+    "--test",
+    "--nocapture",
+    "--show-output",
+    "-q",
+    "--quiet",
+    "--exact",
+    "--ignored",
+    "--include-ignored",
+];
+
+/// libtest options that take a value, as `--opt value` or `--opt=value`;
+/// also accepted and ignored.
+const LIBTEST_OPTIONS: [&str; 5] = [
+    "--color",
+    "--format",
+    "--test-threads",
+    "--skip",
+    "--logfile",
+];
+
+/// Parses a bench binary's arguments (without the program name): the
+/// flags `cargo bench` and `cargo test` pass, `--help`, and at most one
+/// positional name filter. Anything else is an error message.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut bench = false;
+    let mut filter = None;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.split_once('=').map_or(arg.as_str(), |(flag, _)| flag);
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--bench" => bench = true,
+            s if LIBTEST_SWITCHES.contains(&s) => {}
+            _ if LIBTEST_OPTIONS.contains(&flag) => {
+                if flag == arg && args.next().is_none() {
+                    return Err(format!("{arg} needs a value"));
+                }
+            }
+            s if s.starts_with('-') => return Err(format!("unknown flag {s}")),
+            s if filter.is_some() => return Err(format!("a second filter {s:?}")),
+            s => filter = Some(s.to_string()),
+        }
+    }
+    Ok(Command::Run { bench, filter })
+}
+
+fn usage(name: &str) -> String {
+    format!(
+        "usage: {name} [--bench] [FILTER]\n\n\
+         Runs the {name} benchmarks whose names contain FILTER (all by default).\n\
+         --bench    measure and write target/bench/{name}.json (cargo bench passes it);\n\
+         \x20          without it every benchmark runs once as a smoke test\n\
+         --help     print this message\n\n\
+         Environment: AIDE_BENCH_BUDGET_MS, AIDE_BENCH_WARMUP_MS (per-benchmark time),\n\
+         AIDE_BENCH_FORCE=1 (measure without --bench). libtest flags such as --nocapture\n\
+         or --test-threads are accepted and ignored."
+    )
+}
+
 /// A named benchmark group borrowed from a [`Harness`].
 pub struct Group<'a> {
     harness: &'a mut Harness,
@@ -420,6 +505,57 @@ mod tests {
         h.run_loop("selftest/smoke".to_string(), || calls += 1);
         assert_eq!(calls, 1);
         assert!(h.records.is_empty());
+    }
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn args_select_mode_and_filter() {
+        let run = |bench, filter: Option<&str>| {
+            Ok(Command::Run {
+                bench,
+                filter: filter.map(str::to_string),
+            })
+        };
+        assert_eq!(parse(&[]), run(false, None));
+        assert_eq!(parse(&["--bench"]), run(true, None));
+        assert_eq!(parse(&["--bench", "eval"]), run(true, Some("eval")));
+        assert_eq!(parse(&["eval", "--bench"]), run(true, Some("eval")));
+        assert_eq!(parse(&["--help"]), Ok(Command::Help));
+        assert_eq!(parse(&["--bench", "-h"]), Ok(Command::Help));
+    }
+
+    #[test]
+    fn libtest_flags_are_accepted_and_ignored() {
+        let plain = Ok(Command::Run {
+            bench: false,
+            filter: None,
+        });
+        for args in [
+            &["--test"][..],
+            &["-q"],
+            &["--quiet", "--nocapture", "--show-output"],
+            &["--exact", "--ignored", "--include-ignored"],
+            &["--test-threads", "4"],
+            &["--test-threads=4", "--color=never", "--format", "terse"],
+            &["--skip", "slow", "--logfile=out.txt"],
+        ] {
+            assert_eq!(parse(args), plain, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_filters_are_errors() {
+        assert_eq!(parse(&["--bogus"]), Err("unknown flag --bogus".to_string()));
+        assert_eq!(parse(&["-x"]), Err("unknown flag -x".to_string()));
+        assert_eq!(
+            parse(&["--bench=1"]),
+            Err("unknown flag --bench=1".to_string())
+        );
+        assert_eq!(parse(&["a", "b"]), Err("a second filter \"b\"".to_string()));
+        assert_eq!(parse(&["--skip"]), Err("--skip needs a value".to_string()));
     }
 
     #[test]

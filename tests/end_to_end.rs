@@ -4,11 +4,12 @@
 use std::sync::Arc;
 
 use aide::core::{
-    evaluate_model, DiscoveryStrategy, ExplorationSession, SessionConfig, SizeClass, StopCondition,
-    TargetQuery,
+    evaluate_model_with, DiscoveryStrategy, ExplorationSession, SessionConfig, SizeClass,
+    StopCondition, TargetQuery,
 };
 use aide::data::sdss_like;
 use aide::index::{ExtractionEngine, IndexKind};
+use aide::util::par::Pool;
 use aide::util::rng::Xoshiro256pp;
 
 fn sdss(rows: usize, seed: u64) -> aide::data::Table {
@@ -277,7 +278,8 @@ fn evaluate_model_agrees_with_session_reports() {
         session.run_iteration();
     }
     let reported = session.history().last().unwrap().f_measure;
-    let recomputed = evaluate_model(session.tree(), &view, &target).f_measure();
+    let recomputed =
+        evaluate_model_with(session.tree(), &view, &target, &Pool::from_env(0)).f_measure();
     assert!(
         (reported - recomputed).abs() < 1e-12,
         "report {reported} vs recomputed {recomputed}"
