@@ -77,12 +77,11 @@ fn main() {
     let view = Arc::new(dense_view(&table));
     let rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
     // `RegionIndex::count` on the built index: measures the access path,
-    // not the cache.
+    // not the cache. `grid_query` materializes the same answer as the
+    // row ids a cache miss stores.
     let mut group = h.group("substrate/region_query");
-    let paths: [Box<dyn RegionIndex>; 2] = [
-        Box::new(GridIndex::build_with(&view, &Pool::from_env(0))),
-        Box::new(ScanIndex::new()),
-    ];
+    let grid = Arc::new(GridIndex::build_with(&view, &Pool::from_env(0)));
+    let paths: [Arc<dyn RegionIndex>; 2] = [grid.clone(), Arc::new(ScanIndex::new())];
     for index in paths {
         let index_view = Arc::clone(&view);
         let rect = rect.clone();
@@ -90,6 +89,11 @@ fn main() {
             index.count(&index_view, black_box(&rect))
         });
     }
+    let query_view = Arc::clone(&view);
+    let query_rect = rect.clone();
+    group.bench("grid_query", move || {
+        grid.query(&query_view, black_box(&query_rect))
+    });
     drop(group);
 
     // --- Columnar containment kernel -----------------------------------------
@@ -260,8 +264,8 @@ fn main() {
     // --- Sample selection -----------------------------------------------------
     // One pick from a large cached grid result (the whole 200 k view) with
     // no labeled rows and with 1 000 labeled rows spread over the view.
-    // Removing the labels costs O(labels · log); the draw itself still
-    // visits every candidate position once.
+    // Removing the labels costs O(labels · log) and the draw one random
+    // number per sample, whatever the result's size.
     let mut group = h.group("substrate/select");
     let mut select_engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
     let whole = select_engine.query_batch_outputs(&[Rect::full_domain(2)]);
@@ -274,6 +278,18 @@ fn main() {
         group.bench(&format!("pick1_200k/e{labels}"), move || {
             engine.select_batch_streams(black_box(&outs), &[1], &mut rng, &excluded)
         });
+    }
+    // The sampler alone, once per way it tracks what it took: a scan of
+    // its output (a batch from a 10 M-row result), a hash set (the
+    // discovery `fit_cap` subsample) and a flag per index (a dense
+    // `Table::sample_fraction`).
+    for (name, n, k) in [
+        ("floyd_scan/20_of_10m", 10_000_000usize, 20usize),
+        ("floyd_hash/20k_of_1m", 1_000_000, 20_000),
+        ("floyd_flags/500k_of_1m", 1_000_000, 500_000),
+    ] {
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        group.bench(name, move || rng.sample_indices(black_box(n), black_box(k)));
     }
     drop(group);
 

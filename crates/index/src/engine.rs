@@ -24,9 +24,10 @@
 //! Selection skips the session's labeled rows, passed as an
 //! [`Exclusions`] built once per round by
 //! [`ExtractionEngine::exclusions`]. Removing them from a result costs
-//! O(|labels| · log) and never copies the result; what stays
-//! O(candidates) is the draw itself ([`Rng::sample_indices`] visits every
-//! candidate position once).
+//! O(|labels| · log) and never copies the result, and the draw
+//! ([`Rng::sample_indices`]) takes one random number per sample, so
+//! selecting `n` rows costs O(|labels| · log + n · log) whatever the
+//! result's size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -435,10 +436,10 @@ impl ExtractionEngine {
     /// this is bit-identical however the result was obtained (index,
     /// cache, serial or parallel). Charges no stats.
     ///
-    /// The draw picks positions among the candidates left once the
-    /// excluded raw positions (`hits`) are removed; each is mapped back to
-    /// its raw position by skipping the hits at or before it, so the
-    /// result is never copied.
+    /// The draw picks `n` positions among the candidates left once the
+    /// excluded raw positions (`hits`) are removed, with `n` RNG draws;
+    /// each is mapped back to its raw position by skipping the hits at or
+    /// before it, so the result is never copied or walked.
     fn select_excluding<R: Rng + ?Sized>(
         &self,
         out: &QueryOutput,

@@ -220,6 +220,9 @@ impl RegionIndex for GridIndex {
                 runs.push((cell as u32, start as u32));
             }
         });
+        // The region cache keeps outputs as returned: drop the growth slack.
+        indices.shrink_to_fit();
+        runs.shrink_to_fit();
         QueryOutput {
             indices,
             runs,

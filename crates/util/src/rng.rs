@@ -10,6 +10,16 @@
 //! * [`Xoshiro256pp`] — the workhorse generator (xoshiro256++ by Blackman &
 //!   Vigna), with 256 bits of state and excellent statistical quality.
 
+/// Largest sample size for which [`Rng::sample_indices`] checks
+/// membership by scanning its output.
+const FLOYD_SCAN_MAX: usize = 64;
+
+/// Larger samples of at least `n / FLOYD_DENSE_DIV` out of `n` indices
+/// keep a flag per index (no more bytes than the output); sparser ones a
+/// hash set. At an eighth of a million indices the flags cost a sixth of
+/// the hashing.
+const FLOYD_DENSE_DIV: usize = 8;
+
 /// A source of pseudo-random numbers.
 ///
 /// All sampling helpers are provided as default methods on top of
@@ -108,23 +118,52 @@ pub trait Rng {
     }
 
     /// Draws a simple random sample of `k` indices out of `[0, n)` without
-    /// replacement using reservoir sampling (algorithm R).
+    /// replacement using Robert Floyd's algorithm: for `j` in `n-k..n`,
+    /// draw `t` in `[0, j]` and take `t` unless it was already taken, `j`
+    /// otherwise. Every k-subset is equally likely, and the cost is `k`
+    /// draws and O(k) memory, whatever `n`.
     ///
-    /// Returns all `n` indices when `k >= n`. The result order is not
-    /// specified.
+    /// Returns all `n` indices, in order, when `k >= n`. Otherwise the
+    /// result is in insertion order.
     fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         if k >= n {
             return (0..n).collect();
         }
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.index(i + 1);
-            if j < k {
-                reservoir[j] = i;
-            }
+        if k <= FLOYD_SCAN_MAX {
+            // Batch-sized: a scan of the picks beats any set.
+            floyd(self, n, k, |picked, i| !picked.contains(&i))
+        } else if k >= n / FLOYD_DENSE_DIV {
+            let mut taken = vec![false; n];
+            floyd(self, n, k, |_, i| !std::mem::replace(&mut taken[i], true))
+        } else {
+            let mut taken = std::collections::HashSet::with_capacity(k);
+            floyd(self, n, k, |_, i| taken.insert(i))
         }
-        reservoir
     }
+}
+
+/// Floyd's algorithm over a membership test: `insert(picked, i)` marks
+/// `i` taken and reports whether it was new, `picked` being the picks so
+/// far.
+fn floyd<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    k: usize,
+    mut insert: impl FnMut(&[usize], usize) -> bool,
+) -> Vec<usize> {
+    let mut out = Vec::with_capacity(k);
+    for j in n - k..n {
+        let t = rng.index(j + 1);
+        let pick = if insert(&out, t) {
+            t
+        } else {
+            // `j` exceeds every earlier pick, so it is always new.
+            insert(&out, j);
+            j
+        };
+        out.push(pick);
+    }
+    out
 }
 
 /// SplitMix64: a tiny, fast generator with a 64-bit state.
@@ -413,6 +452,100 @@ mod tests {
         assert!(dedup.iter().all(|&i| i < 1000));
         // k >= n returns everything.
         assert_eq!(rng.sample_indices(5, 10).len(), 5);
+    }
+
+    /// Draws `trials` k-subsets of `[0, n)` and returns the chi-square
+    /// statistic of their counts against the uniform distribution over
+    /// all `C(n, k)` subsets, and that number of subsets.
+    fn subset_chi_square(n: usize, k: usize, trials: usize, seed: u64) -> (f64, usize) {
+        let subsets: Vec<u32> = (0..1u32 << n)
+            .filter(|m| m.count_ones() as usize == k)
+            .collect();
+        let mut counts = vec![0usize; 1 << n];
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for _ in 0..trials {
+            let sample = rng.sample_indices(n, k);
+            let mask = sample.iter().fold(0u32, |m, &i| m | 1 << i);
+            assert_eq!(mask.count_ones() as usize, k, "duplicates in {sample:?}");
+            counts[mask as usize] += 1;
+        }
+        let expected = trials as f64 / subsets.len() as f64;
+        let chi2 = subsets
+            .iter()
+            .map(|&m| (counts[m as usize] as f64 - expected).powi(2) / expected)
+            .sum();
+        (chi2, subsets.len())
+    }
+
+    #[test]
+    fn sample_indices_draws_every_subset_equally_often() {
+        // Critical values of chi-square at p = 0.001, df = subsets - 1.
+        for (n, k, critical) in [(6, 3, 43.82), (5, 1, 18.47), (5, 4, 18.47)] {
+            let (chi2, subsets) = subset_chi_square(n, k, 40_000, 17);
+            assert!(
+                chi2 < critical,
+                "({n}, {k}): chi-square {chi2:.1} over {subsets} subsets exceeds {critical}"
+            );
+        }
+    }
+
+    #[test]
+    fn sample_indices_set_paths_match_the_scan_path() {
+        // Above FLOYD_SCAN_MAX membership moves to a flag per index or a
+        // hash set; the picks must be those of the plain output scan on
+        // the same stream.
+        for (n, k) in [
+            (200, FLOYD_SCAN_MAX + 1),
+            (1_000, 400),
+            (70, 69),
+            (10_000, FLOYD_SCAN_MAX + 1),
+            (100_000, 2_000),
+        ] {
+            let mut rng = Xoshiro256pp::seed_from_u64(n as u64);
+            let mut reference = rng.clone();
+            let got = rng.sample_indices(n, k);
+            let mut want = Vec::new();
+            for j in n - k..n {
+                let t = reference.index(j + 1);
+                want.push(if want.contains(&t) { j } else { t });
+            }
+            assert_eq!(got, want, "({n}, {k})");
+        }
+    }
+
+    /// Counts the 64-bit draws taken from the wrapped generator.
+    struct Counting<R> {
+        inner: R,
+        draws: usize,
+    }
+
+    impl<R: Rng> Rng for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn sample_indices_takes_one_draw_per_sample() {
+        // `index` rejects a draw with probability below n / 2^64, so on a
+        // fixed seed every sample costs exactly one draw.
+        for (n, k) in [(1_000, 50), (10_000_000, 10), (10_000_000, 1_000)] {
+            let mut rng = Counting {
+                inner: Xoshiro256pp::seed_from_u64(3),
+                draws: 0,
+            };
+            let sample = rng.sample_indices(n, k);
+            assert_eq!(sample.len(), k);
+            assert_eq!(rng.draws, k, "({n}, {k})");
+        }
+        // Everything requested: no draw at all.
+        let mut rng = Counting {
+            inner: SplitMix64::new(1),
+            draws: 0,
+        };
+        assert_eq!(rng.sample_indices(4, 4), vec![0, 1, 2, 3]);
+        assert_eq!(rng.draws, 0);
     }
 
     #[test]

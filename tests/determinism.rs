@@ -8,10 +8,14 @@
 //! in labels, RNG stream, query issuance or model output changes a
 //! fingerprint and fails.
 //!
-//! The fingerprints were re-recorded exactly once, when sample
-//! selection moved from serial draws on the shared session RNG to
-//! parallel selection on pre-split per-request streams (plus warm
-//! k-means seeding, which skips the k-means++ draws).
+//! The fingerprints were re-recorded exactly twice, each time for a
+//! named change of which rows the same sampling distribution draws:
+//! once when sample selection moved from serial draws on the shared
+//! session RNG to parallel selection on pre-split per-request streams
+//! (plus warm k-means seeding, which skips the k-means++ draws), and
+//! once when `Rng::sample_indices` moved from reservoir sampling
+//! (algorithm R, one draw per candidate) to Floyd's algorithm (one draw
+//! per sample). Both draw every k-subset with equal probability.
 //!
 //! Thread independence is covered twice: CI's threads matrix runs this
 //! file under both `AIDE_THREADS=1` and `AIDE_THREADS=4`, and the
@@ -100,17 +104,9 @@ fn assert_fp(got: &Fingerprint, want: &Fingerprint) {
 
 #[test]
 fn grid_session_fingerprint_is_pinned() {
-    let (s, fp) = run_session(SessionConfig::default());
-    assert_fp(
-        &fp,
-        &Fingerprint {
-            labeled: 600,
-            relevant: 51,
-            f_bits: 0x3fea9161f9add3c0,
-            hash: 0xef779353030c6afd,
-            queries_total: 908,
-        },
-    );
+    let (config, want) = pinned().swap_remove(0);
+    let (s, fp) = run_session(config);
+    assert_fp(&fp, &want);
     // The cache is on by default and observable: repeated probes (density
     // rectangles, re-expanded sampling areas) hit, and the session cost
     // summary reports the rate.
@@ -122,61 +118,20 @@ fn grid_session_fingerprint_is_pinned() {
 
 #[test]
 fn cluster_session_fingerprint_is_pinned() {
-    let (_, fp) = run_session(SessionConfig {
-        discovery_strategy: DiscoveryStrategy::Clustering,
-        ..SessionConfig::default()
-    });
-    assert_fp(
-        &fp,
-        &Fingerprint {
-            labeled: 600,
-            relevant: 65,
-            f_bits: 0x3fed39474e51d394,
-            hash: 0x7cb75505a156d1c5,
-            queries_total: 470,
-        },
-    );
+    let (config, want) = pinned().swap_remove(1);
+    assert_fp(&run_session(config).1, &want);
 }
 
 #[test]
 fn hybrid_session_fingerprint_is_pinned() {
-    let (_, fp) = run_session(SessionConfig {
-        discovery_strategy: DiscoveryStrategy::Hybrid,
-        hybrid_switch_after: 8,
-        hybrid_min_hit_rate: 0.3,
-        ..SessionConfig::default()
-    });
-    assert_fp(
-        &fp,
-        &Fingerprint {
-            labeled: 599,
-            relevant: 59,
-            f_bits: 0x3fed356eda8462e4,
-            hash: 0x41b889b19b8e8af5,
-            queries_total: 790,
-        },
-    );
+    let (config, want) = pinned().swap_remove(2);
+    assert_fp(&run_session(config).1, &want);
 }
 
 #[test]
 fn adaptive_session_fingerprint_is_pinned() {
-    let (_, fp) = run_session(SessionConfig {
-        adaptive_misclass_y: true,
-        clustered_misclassified: false,
-        misclass_retire_after: 2,
-        eval_every: 3,
-        ..SessionConfig::default()
-    });
-    assert_fp(
-        &fp,
-        &Fingerprint {
-            labeled: 600,
-            relevant: 48,
-            f_bits: 0x3fed5c17a821cb9d,
-            hash: 0x21d59206bf528d99,
-            queries_total: 853,
-        },
-    );
+    let (config, want) = pinned().swap_remove(3);
+    assert_fp(&run_session(config).1, &want);
 }
 
 /// The four pinned fingerprints, in the order of the tests above, with
@@ -187,10 +142,10 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
             SessionConfig::default(),
             Fingerprint {
                 labeled: 600,
-                relevant: 51,
-                f_bits: 0x3fea9161f9add3c0,
-                hash: 0xef779353030c6afd,
-                queries_total: 908,
+                relevant: 48,
+                f_bits: 0x3fe601e741aa5974,
+                hash: 0xbf164a36a414132b,
+                queries_total: 859,
             },
         ),
         (
@@ -199,11 +154,11 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
                 ..SessionConfig::default()
             },
             Fingerprint {
-                labeled: 600,
-                relevant: 65,
-                f_bits: 0x3fed39474e51d394,
-                hash: 0x7cb75505a156d1c5,
-                queries_total: 470,
+                labeled: 599,
+                relevant: 50,
+                f_bits: 0x3feb69b85addecc8,
+                hash: 0xe784ff67f2f9f453,
+                queries_total: 508,
             },
         ),
         (
@@ -214,11 +169,11 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
                 ..SessionConfig::default()
             },
             Fingerprint {
-                labeled: 599,
-                relevant: 59,
-                f_bits: 0x3fed356eda8462e4,
-                hash: 0x41b889b19b8e8af5,
-                queries_total: 790,
+                labeled: 600,
+                relevant: 43,
+                f_bits: 0x3fe848c585d903e6,
+                hash: 0x89532aea877db786,
+                queries_total: 849,
             },
         ),
         (
@@ -231,10 +186,10 @@ fn pinned() -> Vec<(SessionConfig, Fingerprint)> {
             },
             Fingerprint {
                 labeled: 600,
-                relevant: 48,
-                f_bits: 0x3fed5c17a821cb9d,
-                hash: 0x21d59206bf528d99,
-                queries_total: 853,
+                relevant: 31,
+                f_bits: 0x3fee523689907bb9,
+                hash: 0x853e1c2115192490,
+                queries_total: 846,
             },
         ),
     ]
