@@ -279,14 +279,16 @@ fn main() {
             engine.select_batch_streams(black_box(&outs), &[1], &mut rng, &excluded)
         });
     }
-    // The sampler alone, once per way it tracks what it took: a scan of
-    // its output (a batch from a 10 M-row result), a hash set (the
-    // discovery `fit_cap` subsample) and a flag per index (a dense
-    // `Table::sample_fraction`).
+    // The sampler alone, on the shapes its callers draw, once per way it
+    // tracks what it took: a scan of its output (a batch from a 10 M-row
+    // result), a flag per index (discovery's 20 000-row `fit_cap`
+    // subsample of a 30 k-row cluster range and of a 1 M-row view) and a
+    // hash set (the same subsample of a 10 M-row view).
     for (name, n, k) in [
         ("floyd_scan/20_of_10m", 10_000_000usize, 20usize),
-        ("floyd_hash/20k_of_1m", 1_000_000, 20_000),
-        ("floyd_flags/500k_of_1m", 1_000_000, 500_000),
+        ("floyd_flags/20k_of_30k", 30_000, 20_000),
+        ("floyd_flags/20k_of_1m", 1_000_000, 20_000),
+        ("floyd_hash/20k_of_10m", 10_000_000, 20_000),
     ] {
         let mut rng = Xoshiro256pp::seed_from_u64(12);
         group.bench(name, move || rng.sample_indices(black_box(n), black_box(k)));

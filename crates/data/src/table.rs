@@ -134,7 +134,9 @@ impl Table {
     /// the paper relies on for the sampled-dataset optimization.
     ///
     /// The resulting table keeps the original name with a `_sample` suffix.
-    /// `fraction` is clamped to `[0, 1]`.
+    /// `fraction` is clamped to `[0, 1]`. The draw costs a random number
+    /// per sampled row ([`Rng::sample_indices`]), so fractions above about
+    /// a half cost more than a pass over the table would.
     pub fn sample_fraction<R: Rng + ?Sized>(&self, fraction: f64, rng: &mut R) -> Table {
         let fraction = fraction.clamp(0.0, 1.0);
         let k = ((self.rows as f64) * fraction).round() as usize;

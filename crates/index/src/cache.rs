@@ -17,7 +17,7 @@
 //! `tuples_examined`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use aide_util::geom::{Rect, RectKey};
 
@@ -166,8 +166,12 @@ impl SharedRegionCache {
         Self::default()
     }
 
+    /// Locks the cache. Every critical section is a map lookup or insert
+    /// of a finished result (plus a counter bump), which a panic cannot
+    /// leave half-done, so a lock poisoned by a panicking holder is taken
+    /// over rather than failing every later session.
     pub(crate) fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.inner.lock().expect("region cache is never poisoned")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Cached rectangles.
@@ -254,5 +258,24 @@ mod tests {
         assert_eq!(a.stats(), CacheStats { hits: 2, misses: 1 });
         assert_eq!(b.stats(), a.stats());
         assert!(SharedRegionCache::new().is_empty(), "a new handle is a new cache");
+    }
+
+    #[test]
+    fn a_panicking_holder_does_not_disable_the_cache() {
+        let cache = SharedRegionCache::new();
+        let r = rect(0.0);
+        cache.lock().put_query(&r, query_out(2));
+        let held = cache.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("request failed while holding the cache");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+        // Earlier entries still hit, and new ones are still stored.
+        assert_eq!(cache.lock().get_query(&r.key()).unwrap().indices.len(), 2);
+        cache.lock().put_count(&rect(5.0), CountOutput { count: 0, examined: 0 });
+        assert_eq!(cache.len(), 2);
     }
 }

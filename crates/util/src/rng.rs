@@ -15,10 +15,12 @@
 const FLOYD_SCAN_MAX: usize = 64;
 
 /// Larger samples of at least `n / FLOYD_DENSE_DIV` out of `n` indices
-/// keep a flag per index (no more bytes than the output); sparser ones a
-/// hash set. At an eighth of a million indices the flags cost a sixth of
-/// the hashing.
-const FLOYD_DENSE_DIV: usize = 8;
+/// keep a flag per index; sparser ones a hash set. The flags took an
+/// eighth to under half the hashing's time on every shape timed with `n`
+/// up to `128·k` (discovery's 20 000-row `fit_cap` subsample of 20 k to
+/// 2.5 M candidates, batches of 65 to 1 000 picks) and lost from about
+/// `n = 500·k`, where faulting in the flags outweighs the hashing.
+const FLOYD_DENSE_DIV: usize = 64;
 
 /// A source of pseudo-random numbers.
 ///
@@ -125,42 +127,55 @@ pub trait Rng {
     ///
     /// Returns all `n` indices, in order, when `k >= n`. Otherwise the
     /// result is in insertion order.
+    ///
+    /// A sample of more than about half the range costs more than one
+    /// pass over it would: `k` random writes against `n` streamed draws
+    /// (900 000 of 1 000 000 takes about six times reservoir sampling's
+    /// time).
     fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         if k >= n {
             return (0..n).collect();
         }
         if k <= FLOYD_SCAN_MAX {
             // Batch-sized: a scan of the picks beats any set.
-            floyd(self, n, k, |picked, i| !picked.contains(&i))
+            let take = |picked: &[usize], t, j| if picked.contains(&t) { j } else { t };
+            floyd(self, n, k, take)
         } else if k >= n / FLOYD_DENSE_DIV {
+            // Select, then mark: no branch on whether `t` was taken.
             let mut taken = vec![false; n];
-            floyd(self, n, k, |_, i| !std::mem::replace(&mut taken[i], true))
+            floyd(self, n, k, |_, t, j| {
+                let pick = if taken[t] { j } else { t };
+                taken[pick] = true;
+                pick
+            })
         } else {
             let mut taken = std::collections::HashSet::with_capacity(k);
-            floyd(self, n, k, |_, i| taken.insert(i))
+            floyd(self, n, k, |_, t, j| {
+                if taken.insert(t) {
+                    t
+                } else {
+                    taken.insert(j);
+                    j
+                }
+            })
         }
     }
 }
 
-/// Floyd's algorithm over a membership test: `insert(picked, i)` marks
-/// `i` taken and reports whether it was new, `picked` being the picks so
-/// far.
+/// Floyd's algorithm over a membership set: `take(picked, t, j)` returns
+/// `t` if it is not taken yet, `j` otherwise, and marks its answer taken,
+/// `picked` being the picks so far. `j` exceeds every earlier pick, so it
+/// is always new.
 fn floyd<R: Rng + ?Sized>(
     rng: &mut R,
     n: usize,
     k: usize,
-    mut insert: impl FnMut(&[usize], usize) -> bool,
+    mut take: impl FnMut(&[usize], usize, usize) -> usize,
 ) -> Vec<usize> {
     let mut out = Vec::with_capacity(k);
     for j in n - k..n {
         let t = rng.index(j + 1);
-        let pick = if insert(&out, t) {
-            t
-        } else {
-            // `j` exceeds every earlier pick, so it is always new.
-            insert(&out, j);
-            j
-        };
+        let pick = take(&out, t, j);
         out.push(pick);
     }
     out
@@ -494,12 +509,15 @@ mod tests {
         // Above FLOYD_SCAN_MAX membership moves to a flag per index or a
         // hash set; the picks must be those of the plain output scan on
         // the same stream.
+        let edge = FLOYD_DENSE_DIV * 1_000;
         for (n, k) in [
             (200, FLOYD_SCAN_MAX + 1),
             (1_000, 400),
             (70, 69),
-            (10_000, FLOYD_SCAN_MAX + 1),
-            (100_000, 2_000),
+            (30_000, 20_000),
+            (edge, 1_000),
+            (edge + FLOYD_DENSE_DIV, 1_000),
+            (100_000, FLOYD_SCAN_MAX + 1),
         ] {
             let mut rng = Xoshiro256pp::seed_from_u64(n as u64);
             let mut reference = rng.clone();
