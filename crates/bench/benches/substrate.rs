@@ -77,8 +77,9 @@ fn main() {
     let view = Arc::new(dense_view(&table));
     let rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
     // `RegionIndex::count` on the built index: measures the access path,
-    // not the cache. `grid_query` materializes the same answer as the
-    // row ids a cache miss stores.
+    // not the cache. `grid_query` builds the same answer as the query
+    // output a cache miss stores: full cells by reference, cut cells as
+    // bit masks.
     let mut group = h.group("substrate/region_query");
     let grid = Arc::new(GridIndex::build_with(&view, &Pool::from_env(0)));
     let paths: [Arc<dyn RegionIndex>; 2] = [grid.clone(), Arc::new(ScanIndex::new())];
@@ -209,7 +210,7 @@ fn main() {
     // --- Batched extraction and the region-result cache ---------------------
     // The rect workload mirrors the misclassified phase: small sampling
     // areas around false-negative-like points. `serial_loop` vs
-    // `query_batch` isolates the batching win (every call starts from an
+    // `query_batch` (`query_batch_outputs`) isolates the batching win (every call starts from an
     // empty cache: the untimed setup forks the engine and installs a fresh
     // one); `cold_cache` vs `warm_cache` isolates the cache win (a fresh
     // engine per iteration vs a primed one answering everything from cache).
@@ -241,7 +242,7 @@ fn main() {
         group.bench_batched(
             &format!("query_batch_48rects/t{threads}"),
             cold_fork(&engine, Tracer::disabled()),
-            move |mut engine| engine.query_batch(black_box(&rects)),
+            move |mut engine| engine.query_batch_outputs(black_box(&rects)),
         );
     }
 
@@ -250,14 +251,14 @@ fn main() {
     group.bench_batched(
         "cold_cache_48rects",
         move || ExtractionEngine::from_arc(Arc::clone(&cold_view), IndexKind::Grid),
-        move |mut engine| engine.query_batch(black_box(&cold_rects)),
+        move |mut engine| engine.query_batch_outputs(black_box(&cold_rects)),
     );
 
     let mut warm_engine = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-    warm_engine.query_batch(&fn_rects); // prime: every later batch hits
+    warm_engine.query_batch_outputs(&fn_rects); // prime: every later batch hits
     let warm_rects = fn_rects.clone();
     group.bench("warm_cache_48rects", move || {
-        warm_engine.query_batch(black_box(&warm_rects))
+        warm_engine.query_batch_outputs(black_box(&warm_rects))
     });
     drop(group);
 
@@ -279,6 +280,17 @@ fn main() {
             engine.select_batch_streams(black_box(&outs), &[1], &mut rng, &excluded)
         });
     }
+    // Twenty picks from a result that mixes full cells (the interior) and
+    // masked ones (every cell its edge cuts), with 1 000 labeled rows: a
+    // pick in a masked cell costs a search over the cell's mask ranks and
+    // a select in one word.
+    let mixed = select_engine.query_batch_outputs(&[Rect::new(vec![10.3, 5.7], vec![87.9, 93.1])]);
+    let excluded = select_engine.exclusions((0..1_000).map(|k| k * stride));
+    let mut engine = select_engine.fork_session();
+    let mut rng = Xoshiro256pp::seed_from_u64(11);
+    group.bench("pick20_mixed_200k/e1000", move || {
+        engine.select_batch_streams(black_box(&mixed), &[20], &mut rng, &excluded)
+    });
     // The sampler alone, on the shapes its callers draw, once per way it
     // tracks what it took: a scan of its output (a batch from a 10 M-row
     // result), a flag per index (discovery's 20 000-row `fit_cap`
@@ -298,11 +310,11 @@ fn main() {
     // Observability guard, outside the timers: a warm batch over this
     // workload must actually hit the cache.
     let mut check = ExtractionEngine::from_arc(Arc::clone(&view), IndexKind::Grid);
-    check.query_batch(&fn_rects);
-    check.query_batch(&fn_rects);
+    check.query_batch_outputs(&fn_rects);
+    check.query_batch_outputs(&fn_rects);
     assert!(
         check.stats().cache_hits >= 1,
-        "warm query_batch produced no cache hits"
+        "warm query_batch_outputs produced no cache hits"
     );
 
     // --- Tracing overhead -----------------------------------------------------
@@ -319,7 +331,7 @@ fn main() {
         group.bench_batched(
             &format!("query_batch_48rects/{name}"),
             cold_fork(&engine, tracer),
-            move |mut engine| engine.query_batch(black_box(&rects)),
+            move |mut engine| engine.query_batch_outputs(black_box(&rects)),
         );
     }
     let emitter = Tracer::ring(1 << 10);

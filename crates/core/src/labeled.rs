@@ -123,7 +123,7 @@ impl LabeledSet {
         if unbound.is_empty() {
             return;
         }
-        for (i, &row) in view.row_ids().iter().enumerate() {
+        for (i, row) in view.row_ids().enumerate() {
             if let Some(j) = unbound.remove(&row) {
                 self.view_indices[j] = i as u32;
             }

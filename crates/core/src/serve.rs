@@ -447,6 +447,7 @@ impl SessionHost {
                 Json::Num(self.evicted.load(Ordering::Relaxed) as f64),
             ),
             ("cache_entries", Json::Num(self.cache.len() as f64)),
+            ("cache_bytes", Json::Num(self.cache.bytes() as f64)),
             ("cache_hits", Json::Num(stats.hits as f64)),
             ("cache_misses", Json::Num(stats.misses as f64)),
             ("rows", Json::Num(self.view.len() as f64)),
@@ -863,6 +864,21 @@ mod tests {
         assert_eq!(stats.get("sessions_active").and_then(Json::as_u64), Some(2));
         assert!(stats.get("cache_hits").and_then(Json::as_u64).unwrap() > 0);
         assert!(stats.get("cache_entries").and_then(Json::as_u64).unwrap() > 0);
+    }
+
+    #[test]
+    fn stats_report_the_bytes_the_region_cache_holds() {
+        let h = host();
+        let bytes = |h: &SessionHost| {
+            let stats = parse(&h.handle(r#"{"v":1,"op":"stats"}"#));
+            stats.get("cache_bytes").and_then(Json::as_u64).unwrap() as usize
+        };
+        assert_eq!(bytes(&h), 0, "a new host holds nothing");
+        h.handle(r#"{"v":1,"op":"create","seed":3}"#);
+        let held = bytes(&h);
+        assert!(held > 0, "a session's probes are cached");
+        assert_eq!(held, h.cache.bytes());
+        assert!(held <= SharedRegionCache::BUDGET_BYTES);
     }
 
     #[test]

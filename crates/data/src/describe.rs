@@ -4,6 +4,8 @@
 //! summarizes every column (type, range, moments, distinct counts) the way
 //! a DBMS catalog or a notebook `describe()` would, and is what the `aide
 //! describe` CLI command prints before a steering session.
+//! [`NumericView::describe_lanes`] does the same for a packed view's
+//! lanes, for `aide dataset info`.
 
 use std::collections::HashSet;
 
@@ -12,6 +14,7 @@ use aide_util::stats::OnlineStats;
 use crate::column::Column;
 use crate::table::Table;
 use crate::value::DataType;
+use crate::view::NumericView;
 
 /// Summary statistics of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +84,47 @@ impl Table {
     }
 }
 
+/// Summary statistics of one lane of a [`NumericView`], in the raw
+/// units of its attribute.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneSummary {
+    /// Attribute name.
+    pub name: String,
+    /// Number of rows.
+    pub count: usize,
+    /// Minimum (`None` for an empty view).
+    pub min: Option<f64>,
+    /// Mean (`None` for an empty view).
+    pub mean: Option<f64>,
+    /// Maximum (`None` for an empty view).
+    pub max: Option<f64>,
+}
+
+impl NumericView {
+    /// Profiles every lane: count, min, mean and max, mapped back from
+    /// the normalized lane to raw attribute values (the map is linear and
+    /// increasing, so it carries each statistic over).
+    pub fn describe_lanes(&self) -> Vec<LaneSummary> {
+        let mapper = self.mapper();
+        (0..self.dims())
+            .map(|d| {
+                let mut stats = OnlineStats::new();
+                self.lane(d).iter().for_each(|&x| stats.push(x));
+                let domain = &mapper.domains()[d];
+                let raw = |v: Option<f64>| v.map(|v| domain.denormalize(v));
+                let empty = stats.count() == 0;
+                LaneSummary {
+                    name: mapper.attrs()[d].clone(),
+                    count: self.len(),
+                    min: raw(stats.min()),
+                    mean: raw((!empty).then(|| stats.mean())),
+                    max: raw(stats.max()),
+                }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +176,23 @@ mod tests {
         assert_eq!(note.distinct, 3);
         assert_eq!(note.min, None);
         assert_eq!(note.mean, None);
+    }
+
+    #[test]
+    fn lanes_are_profiled_in_raw_units() {
+        use crate::view::{Domain, SpaceMapper};
+        let mapper = SpaceMapper::new(
+            vec!["age".into(), "dose".into()],
+            vec![Domain::new(0.0, 40.0), Domain::new(10.0, 20.0)],
+        );
+        let view = NumericView::new(mapper.clone(), vec![0.0, 50.0, 50.0, 100.0], vec![0, 1]);
+        let lanes = view.describe_lanes();
+        assert_eq!(lanes[0].name, "age");
+        assert_eq!(lanes[0].count, 2);
+        assert_eq!((lanes[0].min, lanes[0].mean, lanes[0].max), (Some(0.0), Some(10.0), Some(20.0)));
+        assert_eq!((lanes[1].min, lanes[1].mean, lanes[1].max), (Some(15.0), Some(17.5), Some(20.0)));
+        let empty = NumericView::new(mapper, vec![], vec![]).describe_lanes();
+        assert_eq!((empty[1].count, empty[1].min, empty[1].mean), (0, None, None));
     }
 
     #[test]

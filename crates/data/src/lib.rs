@@ -18,7 +18,7 @@ pub mod value;
 pub mod view;
 
 pub use column::Column;
-pub use describe::ColumnSummary;
+pub use describe::{ColumnSummary, LaneSummary};
 pub use error::{DataError, Result};
 pub use generator::{auction_like, sdss_like, ColumnSpec, DatasetSpec};
 pub use schema::{Field, Schema};

@@ -20,6 +20,11 @@
 //! row_ids     n × u32
 //! ```
 //!
+//! Row ids `0..n` are written like any others, but the loader keeps no
+//! lane for them ([`NumericView::stored_row_ids`] is `None`): it tells
+//! the identity apart chunk by chunk while decoding, and allocates the
+//! lane only at the first chunk that breaks it.
+//!
 //! Coordinates round-trip through `f64::to_bits`/`from_bits`, so a loaded
 //! view is **bit-identical** to the one written — the determinism
 //! fingerprints of a session replayed from disk match an in-memory run.
@@ -92,10 +97,11 @@ pub fn write_view_to<W: Write>(view: &NumericView, w: &mut W) -> Result<()> {
             w.write_all(&buf)?;
         }
     }
-    for chunk in view.row_ids().chunks(IO_CHUNK_VALUES) {
+    let n = view.len();
+    for start in (0..n).step_by(IO_CHUNK_VALUES) {
         buf.clear();
-        for &id in chunk {
-            buf.extend_from_slice(&id.to_le_bytes());
+        for i in start..(start + IO_CHUNK_VALUES).min(n) {
+            buf.extend_from_slice(&view.row_id(i).to_le_bytes());
         }
         w.write_all(&buf)?;
     }
@@ -200,18 +206,35 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
         lanes.push(lane);
     }
 
-    let mut row_ids = Vec::with_capacity(reserve);
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(IO_CHUNK_VALUES);
+    // Row ids `0..n` are the common case (every packed projection and
+    // generated dataset) and are not stored: the lane is allocated only
+    // once a chunk breaks the identity, and then filled with the identity
+    // prefix decoded so far.
+    let mut row_ids: Option<Vec<u32>> = None;
+    let mut decoded = 0;
+    while decoded < n {
+        let take = (n - decoded).min(IO_CHUNK_VALUES);
         let bytes = &mut buf[..take * 4];
         fill(r, bytes, "row ids")?;
-        row_ids.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-        );
-        remaining -= take;
+        let chunk = bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()));
+        match &mut row_ids {
+            Some(ids) => ids.extend(chunk),
+            None => {
+                let identity = chunk
+                    .clone()
+                    .enumerate()
+                    .all(|(k, id)| id as usize == decoded + k);
+                if !identity {
+                    let mut ids = Vec::with_capacity(reserve);
+                    ids.extend(0..decoded as u32);
+                    ids.extend(chunk);
+                    row_ids = Some(ids);
+                }
+            }
+        }
+        decoded += take;
     }
 
     let mut probe = [0u8; 1];
@@ -222,7 +245,7 @@ pub fn load_view_from<R: Read>(r: &mut R) -> Result<NumericView> {
     }
 
     let mapper = SpaceMapper::new(attrs, domains);
-    Ok(NumericView::from_lanes(mapper, lanes, row_ids))
+    Ok(NumericView::from_parts(mapper, lanes, n, row_ids))
 }
 
 /// `read_exact` with truncation reported as a [`DataError::Format`] naming
@@ -259,6 +282,8 @@ fn read_u64<R: Read>(r: &mut R, what: &str) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aide_testkit::prop::gen;
+    use aide_testkit::{forall, prop_assert, prop_assert_eq};
     use aide_util::rng::{Rng, Xoshiro256pp};
 
     fn sample_view(n: usize, dims: usize, seed: u64) -> NumericView {
@@ -290,7 +315,7 @@ mod tests {
             let loaded = round_trip(&view);
             assert_eq!(loaded.len(), view.len());
             assert_eq!(loaded.mapper(), view.mapper());
-            assert_eq!(loaded.row_ids(), view.row_ids());
+            assert!(loaded.row_ids().eq(view.row_ids()));
             for d in 0..dims {
                 let (a, b) = (view.lane(d), loaded.lane(d));
                 assert!(
@@ -299,6 +324,58 @@ mod tests {
                 );
             }
             assert_eq!(loaded, view);
+        }
+    }
+
+    #[test]
+    fn identity_row_ids_load_without_a_lane() {
+        let n = IO_CHUNK_VALUES + 17;
+        let lanes = |v: f64| vec![vec![v; n]];
+        let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 1.0)]);
+        let identity = NumericView::from_lanes(mapper.clone(), lanes(1.0), (0..n as u32).collect());
+        assert_eq!(identity.stored_row_ids(), None);
+        let loaded = round_trip(&identity);
+        assert_eq!(loaded.stored_row_ids(), None);
+        assert_eq!(loaded, identity);
+        // Ids that leave the identity only in the second streaming chunk
+        // are stored, identity prefix included.
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.swap(IO_CHUNK_VALUES + 3, IO_CHUNK_VALUES + 4);
+        let shuffled = NumericView::from_lanes(mapper, lanes(2.0), ids.clone());
+        let loaded = round_trip(&shuffled);
+        assert_eq!(loaded.stored_row_ids(), Some(&ids[..]));
+        assert_eq!(loaded, shuffled);
+    }
+
+    forall! {
+        /// A view whose ids are `0..n` and stores no lane is the same view
+        /// with the lane stored: through every accessor, byte for byte in
+        /// the file, and after loading either file.
+        fn identity_ids_equal_explicit_ids(
+            values in gen::vec_of(gen::f64_in(0.0..100.0), 0..300),
+            dims in gen::usize_in(1..4),
+        ) {
+            let n = values.len() / dims;
+            let mapper = SpaceMapper::new(
+                (0..dims).map(|d| format!("a{d}")).collect(),
+                vec![Domain::new(-1.0, 1.0); dims],
+            );
+            let identity = NumericView::new(mapper, values[..n * dims].to_vec(), (0..n as u32).collect());
+            let explicit = identity.clone().with_stored_row_ids();
+            prop_assert!(identity.stored_row_ids().is_none());
+            prop_assert_eq!(explicit.stored_row_ids().map(<[u32]>::len), Some(n));
+            prop_assert_eq!(identity.len(), explicit.len());
+            prop_assert_eq!(identity.is_empty(), explicit.is_empty());
+            prop_assert!(identity.row_ids().eq(explicit.row_ids()));
+            for i in 0..n {
+                prop_assert_eq!(identity.row_id(i), explicit.row_id(i));
+                prop_assert_eq!(identity.point_vec(i), explicit.point_vec(i));
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            write_view_to(&identity, &mut a).unwrap();
+            write_view_to(&explicit, &mut b).unwrap();
+            prop_assert_eq!(&a, &b, "written files differ");
+            prop_assert_eq!(&round_trip(&explicit), &identity);
         }
     }
 

@@ -169,15 +169,19 @@ const KERNEL_CHUNK: usize = 64;
 /// A normalized, d-dimensional projection of a table.
 ///
 /// Coordinates live in per-dimension column lanes (see the module docs);
-/// `row_ids` maps each point back to its source row in the projected table,
-/// which is how a sampled object is shown to the user with all its original
-/// attributes.
+/// the row ids map each point back to its source row in the projected
+/// table, which is how a sampled object is shown to the user with all its
+/// original attributes. When point `i` is row `i` for every `i` (a
+/// projection of a whole table, and every generated dataset), no row-id
+/// lane is stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericView {
     mapper: SpaceMapper,
     /// One contiguous lane per dimension, each of length `len()`.
     lanes: Vec<Vec<f64>>,
-    row_ids: Vec<u32>,
+    /// Source row of each point; `None` when point `i` is row `i`. Never
+    /// the identity, so two views with the same rows compare equal.
+    row_ids: Option<Vec<u32>>,
 }
 
 impl NumericView {
@@ -196,25 +200,43 @@ impl NumericView {
         let lanes = (0..dims)
             .map(|d| (0..n).map(|i| data[i * dims + d]).collect())
             .collect();
-        Self {
-            mapper,
-            lanes,
-            row_ids,
-        }
+        Self::from_lanes(mapper, lanes, row_ids)
     }
 
     /// Creates a view directly from per-dimension column lanes (no
     /// transpose). This is the native layout: generators and the
-    /// `aide-view/1` loader build lanes straight into place.
+    /// `aide-view/1` loader build lanes straight into place. Row ids that
+    /// are `0..n` are dropped, not stored.
     ///
     /// # Panics
     ///
     /// Panics if the lane count disagrees with the mapper's dimensionality
     /// or any lane's length disagrees with `row_ids.len()`.
     pub fn from_lanes(mapper: SpaceMapper, lanes: Vec<Vec<f64>>, row_ids: Vec<u32>) -> Self {
+        let n = row_ids.len();
+        let identity = row_ids.iter().enumerate().all(|(i, &id)| id as usize == i);
+        Self::from_parts(mapper, lanes, n, (!identity).then_some(row_ids))
+    }
+
+    /// [`NumericView::from_lanes`] for a caller that has already told the
+    /// identity apart: `row_ids` is `None` for the ids `0..n`, and
+    /// otherwise holds `n` ids that are not `0..n`.
+    pub(crate) fn from_parts(
+        mapper: SpaceMapper,
+        lanes: Vec<Vec<f64>>,
+        n: usize,
+        row_ids: Option<Vec<u32>>,
+    ) -> Self {
         assert_eq!(lanes.len(), mapper.dims(), "lane count mismatch");
         for lane in &lanes {
-            assert_eq!(lane.len(), row_ids.len(), "row id count mismatch");
+            assert_eq!(lane.len(), n, "row id count mismatch");
+        }
+        if let Some(ids) = &row_ids {
+            assert_eq!(ids.len(), n, "row id count mismatch");
+            debug_assert!(
+                ids.iter().enumerate().any(|(i, &id)| id as usize != i),
+                "identity row ids stored"
+            );
         }
         Self {
             mapper,
@@ -223,14 +245,24 @@ impl NumericView {
         }
     }
 
+    /// This view with its row ids stored as a lane even when they are
+    /// `0..n`: the representation that [`NumericView::from_lanes`] never
+    /// builds, for tests that compare the two.
+    #[cfg(test)]
+    pub(crate) fn with_stored_row_ids(mut self) -> Self {
+        self.row_ids = Some(self.row_ids().collect());
+        self
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.row_ids.len()
+        // A mapper has at least one attribute, so lane 0 exists.
+        self.lanes[0].len()
     }
 
     /// Whether the view has no points.
     pub fn is_empty(&self) -> bool {
-        self.row_ids.is_empty()
+        self.len() == 0
     }
 
     /// Number of dimensions.
@@ -276,14 +308,30 @@ impl NumericView {
     }
 
     /// The source-table row of point `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
     #[inline]
     pub fn row_id(&self, i: usize) -> u32 {
-        self.row_ids[i]
+        match &self.row_ids {
+            Some(ids) => ids[i],
+            None => {
+                assert!(i < self.len(), "point {i} past a view of {}", self.len());
+                i as u32
+            }
+        }
     }
 
     /// All source-table rows in view order.
-    pub fn row_ids(&self) -> &[u32] {
-        &self.row_ids
+    pub fn row_ids(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        (0..self.len()).map(|i| self.row_id(i))
+    }
+
+    /// The stored row-id lane, or `None` when point `i` is row `i` and no
+    /// lane is stored.
+    pub fn stored_row_ids(&self) -> Option<&[u32]> {
+        self.row_ids.as_deref()
     }
 
     /// The raw↔normalized mapper for this view.
@@ -319,6 +367,19 @@ impl NumericView {
             }
             base += chunk;
         }
+    }
+
+    /// Mask form of [`NumericView::scan_rect_into`]: appends one word per
+    /// 64 rows of `[start, end)`, bit `j` of a word set iff its row `j`
+    /// lies inside `rect`; the last word's bits past `end` are clear.
+    pub fn mask_rect_into(&self, rect: &Rect, start: usize, end: usize, out: &mut Vec<u64>) {
+        assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
+        assert!(start <= end && end <= self.len(), "row range out of bounds");
+        out.extend(
+            (start..end)
+                .step_by(KERNEL_CHUNK)
+                .map(|base| self.chunk_mask(rect, base, (end - base).min(KERNEL_CHUNK))),
+        );
     }
 
     /// Counting twin of [`NumericView::scan_rect_into`]: number of rows in
@@ -377,16 +438,14 @@ impl NumericView {
 
     /// Scattered-candidate form of the kernel: appends to `out` the
     /// members of `candidates` lying inside `rect`, **preserving candidate
-    /// order** (the grid cell sweep relies on its cell order surviving the
-    /// filter).
+    /// order**. The grid's cut cells use the mask form,
+    /// [`NumericView::mask_indices_into`], which keeps the same members in
+    /// the same order without copying them.
     ///
     /// Branch-free compaction through a stack buffer: every candidate is
     /// written at the cursor, and the cursor advances only past the ones
     /// inside `rect`. The kept ones are then pushed one by one, so `out`
-    /// grows exactly as a filtered `extend` would. The region cache keeps
-    /// query outputs as returned, and growing `out` in larger steps
-    /// (reserving a whole chunk, or zero-filling and truncating) raised
-    /// the server's peak resident set.
+    /// grows exactly as a filtered `extend` would.
     pub fn filter_indices_into(&self, rect: &Rect, candidates: &[u32], out: &mut Vec<u32>) {
         assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
         let mut buf = [0u32; 256];
@@ -400,6 +459,18 @@ impl NumericView {
                 out.push(i);
             }
         }
+    }
+
+    /// Mask form of [`NumericView::filter_indices_into`]: appends one word
+    /// per 64 candidates, bit `j` of a word set iff its candidate `j` lies
+    /// inside `rect`. Branch-free: every candidate's test is or-ed in.
+    pub fn mask_indices_into(&self, rect: &Rect, candidates: &[u32], out: &mut Vec<u64>) {
+        assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
+        out.extend(candidates.chunks(KERNEL_CHUNK).map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |word, (j, &i)| {
+                word | (self.contains_index(rect, i as usize) as u64) << j
+            })
+        }));
     }
 
     /// Counting twin of [`NumericView::filter_indices_into`].

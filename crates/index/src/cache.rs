@@ -6,7 +6,9 @@
 //! query/count results keyed on the **exact bit pattern** of the
 //! rectangle's bounds ([`Rect::key`](aide_util::geom::Rect::key) — no
 //! epsilon games, a bit-different rectangle selects a different point
-//! set) and is never invalidated.
+//! set) and is never invalidated. It holds at most
+//! [`SharedRegionCache::BUDGET_BYTES`] of answers; past that it stops
+//! storing new ones and keeps the old.
 //!
 //! The steering loop re-issues many bit-identical rectangles: the
 //! density probe of a grid cell repeats when a cell is re-examined, the
@@ -17,6 +19,7 @@
 //! `tuples_examined`.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use aide_util::geom::{Rect, RectKey};
@@ -24,8 +27,8 @@ use aide_util::geom::{Rect, RectKey};
 use crate::{CountOutput, QueryOutput};
 
 /// One rectangle's memoized answers. A full query result subsumes the
-/// count (`count = indices.len()`), so `count` is only stored for
-/// rectangles that were *only* counted.
+/// count (`count = len()`), so `count` is only stored for rectangles that
+/// were *only* counted.
 #[derive(Debug, Clone, Default)]
 struct Entry {
     query: Option<Arc<QueryOutput>>,
@@ -44,13 +47,32 @@ pub struct CacheStats {
 
 /// The cache contents behind [`SharedRegionCache`]'s lock. Only engines
 /// read and fill it, taking the lock once per lookup or insert pass.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct CacheState {
     entries: HashMap<RectKey, Entry>,
     stats: CacheStats,
+    /// Bytes charged for the entries held.
+    bytes: usize,
+    /// Bytes past which nothing more is stored.
+    budget: usize,
+}
+
+impl Default for CacheState {
+    fn default() -> Self {
+        Self::with_budget(SharedRegionCache::BUDGET_BYTES)
+    }
 }
 
 impl CacheState {
+    fn with_budget(budget: usize) -> Self {
+        Self {
+            entries: HashMap::new(),
+            stats: CacheStats::default(),
+            bytes: 0,
+            budget,
+        }
+    }
+
     /// Looks up the full query result for `rect`, counting a hit or miss.
     pub(crate) fn get_query(&mut self, key: &RectKey) -> Option<Arc<QueryOutput>> {
         let found = self.entries.get(key).and_then(|e| e.query.clone());
@@ -64,7 +86,7 @@ impl CacheState {
         let found = self.entries.get(key).and_then(|e| {
             e.count.or_else(|| {
                 e.query.as_ref().map(|q| CountOutput {
-                    count: q.indices.len(),
+                    count: q.len(),
                     examined: q.examined,
                 })
             })
@@ -73,27 +95,48 @@ impl CacheState {
         found
     }
 
-    /// Memoizes a full query result for `rect`.
+    /// Memoizes a full query result for `rect`, unless one is already
+    /// held (another engine computed the same answer at the same time).
     pub(crate) fn put_query(&mut self, rect: &Rect, out: Arc<QueryOutput>) {
-        if let Some(entry) = self.entry(rect) {
+        let bytes = out.bytes();
+        if let Some(entry) = self.entry(rect, bytes, |e| e.query.is_some()) {
             entry.query = Some(out);
         }
     }
 
-    /// Memoizes a count-only result for `rect`.
+    /// Memoizes a count-only result for `rect`, unless it has one.
     pub(crate) fn put_count(&mut self, rect: &Rect, out: CountOutput) {
-        if let Some(entry) = self.entry(rect) {
+        if let Some(entry) = self.entry(rect, 0, |e| e.count.is_some()) {
             entry.count = Some(out);
         }
     }
 
-    fn entry(&mut self, rect: &Rect) -> Option<&mut Entry> {
+    /// The entry to store an answer of `bytes` in, charged for it, or
+    /// `None` if the entry `held` it already or the charge (plus the
+    /// entry's own, for a new rectangle) would pass the budget.
+    fn entry(
+        &mut self,
+        rect: &Rect,
+        bytes: usize,
+        held: impl Fn(&Entry) -> bool,
+    ) -> Option<&mut Entry> {
         let key = rect.key();
-        if self.entries.len() >= SharedRegionCache::MAX_ENTRIES && !self.entries.contains_key(&key)
-        {
+        let charge = match self.entries.get(&key) {
+            Some(entry) if held(entry) => return None,
+            Some(_) => bytes,
+            None => bytes + Self::entry_bytes(rect),
+        };
+        if self.bytes + charge > self.budget {
             return None;
         }
+        self.bytes += charge;
         Some(self.entries.entry(key).or_default())
+    }
+
+    /// What holding a rectangle costs before any answer: its map slot
+    /// and its key's bounds.
+    fn entry_bytes(rect: &Rect) -> usize {
+        size_of::<(RectKey, Entry)>() + 2 * rect.dims() * size_of::<u64>()
     }
 
     fn tally(&mut self, hit: bool) {
@@ -147,6 +190,7 @@ impl CacheState {
 /// b.count_in(&Rect::new(vec![0.0], vec![6.0 + 1e-12]));
 /// assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
 /// assert_eq!(cache.len(), 2);
+/// assert!(cache.bytes() <= SharedRegionCache::BUDGET_BYTES);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedRegionCache {
@@ -154,16 +198,28 @@ pub struct SharedRegionCache {
 }
 
 impl SharedRegionCache {
-    /// Hard cap on cached rectangles. The steering loop's working set is
-    /// tiny (hundreds of distinct rectangles per session); the cap only
-    /// bounds memory under adversarial workloads. Once full, new results
-    /// are simply not cached — entries are never evicted, so a cached
-    /// answer stays cached (which keeps hit patterns deterministic).
-    pub const MAX_ENTRIES: usize = 1 << 16;
+    /// Bytes the cache may hold: its entries, their keys and their
+    /// answers ([`QueryOutput::bytes`]), not the index rows answers share.
+    /// The steering loop's working set is a few MB even on a 10M-row
+    /// view, because a query output holds cut cells as bit masks and full
+    /// cells by reference; the budget only bounds memory under
+    /// adversarial workloads. Once an answer would pass it, that answer is
+    /// simply not cached. Entries are never evicted, so a cached answer
+    /// stays cached (which keeps hit patterns deterministic).
+    pub const BUDGET_BYTES: usize = 64 << 20;
 
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty cache that holds at most `budget` bytes instead of
+    /// [`SharedRegionCache::BUDGET_BYTES`].
+    #[cfg(test)]
+    pub(crate) fn with_budget(budget: usize) -> Self {
+        Self {
+            inner: Arc::new(Mutex::new(CacheState::with_budget(budget))),
+        }
     }
 
     /// Locks the cache. Every critical section is a map lookup or insert
@@ -184,6 +240,12 @@ impl SharedRegionCache {
         self.lock().entries.is_empty()
     }
 
+    /// Bytes the cached entries are charged, at most
+    /// [`SharedRegionCache::BUDGET_BYTES`].
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes
+    }
+
     /// Aggregate hit/miss counters across every holder.
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
@@ -193,17 +255,16 @@ impl SharedRegionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::OutputBuilder;
 
     fn rect(lo: f64) -> Rect {
         Rect::new(vec![lo, 0.0], vec![lo + 1.0, 1.0])
     }
 
     fn query_out(n: usize) -> Arc<QueryOutput> {
-        Arc::new(QueryOutput {
-            indices: (0..n as u32).collect(),
-            runs: if n == 0 { vec![] } else { vec![(0, 0)] },
-            examined: n * 3,
-        })
+        let mut b = OutputBuilder::new(None);
+        b.push_full(0, 0, n);
+        Arc::new(b.finish(n * 3))
     }
 
     #[test]
@@ -213,7 +274,7 @@ mod tests {
         assert!(c.get_query(&r.key()).is_none());
         c.put_query(&r, query_out(4));
         let hit = c.get_query(&r.key()).expect("cached");
-        assert_eq!(hit.indices.len(), 4);
+        assert_eq!(hit.len(), 4);
         // A cached query result answers count lookups too.
         let count = c.get_count(&r.key()).expect("derived count");
         assert_eq!(count.count, 4);
@@ -239,8 +300,33 @@ mod tests {
         c.put_query(&rect(1.0), query_out(1));
         c.put_query(&rect(2.0), query_out(2));
         assert_eq!(c.entries.len(), 2);
-        assert_eq!(c.get_query(&rect(1.0).key()).unwrap().indices.len(), 1);
-        assert_eq!(c.get_query(&rect(2.0).key()).unwrap().indices.len(), 2);
+        assert_eq!(c.get_query(&rect(1.0).key()).unwrap().len(), 1);
+        assert_eq!(c.get_query(&rect(2.0).key()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn entries_are_charged_and_the_budget_stops_inserts() {
+        let r = rect(1.0);
+        let (out, entry) = (query_out(4), CacheState::entry_bytes(&r));
+        let mut c = CacheState::default();
+        c.put_count(&r, CountOutput { count: 4, examined: 12 });
+        assert_eq!(c.bytes, entry);
+        c.put_query(&r, Arc::clone(&out));
+        assert_eq!(c.bytes, entry + out.bytes());
+        // A second answer for a held rectangle is not stored or charged.
+        c.put_query(&r, query_out(4));
+        c.put_count(&r, CountOutput { count: 4, examined: 12 });
+        assert_eq!(c.bytes, entry + out.bytes());
+
+        // A budget that holds the first rectangle's answers and no more.
+        let mut c = CacheState::with_budget(entry + out.bytes());
+        c.put_query(&r, Arc::clone(&out));
+        c.put_count(&rect(2.0), CountOutput { count: 1, examined: 1 });
+        c.put_query(&rect(3.0), query_out(0));
+        assert_eq!(c.entries.len(), 1);
+        assert_eq!(c.bytes, c.budget);
+        assert!(c.get_query(&r.key()).is_some(), "nothing is evicted");
+        assert!(c.get_count(&rect(2.0).key()).is_none());
     }
 
     #[test]
@@ -251,7 +337,7 @@ mod tests {
         let r = rect(3.0);
         assert!(a.lock().get_query(&r.key()).is_none()); // miss via a
         b.lock().put_query(&r, query_out(2));
-        assert_eq!(a.lock().get_query(&r.key()).unwrap().indices.len(), 2); // hit via a
+        assert_eq!(a.lock().get_query(&r.key()).unwrap().len(), 2); // hit via a
         assert_eq!(b.lock().get_count(&r.key()).unwrap().count, 2); // hit via b
         assert_eq!(a.len(), 1);
         // One counter set, shared by every holder.
@@ -274,7 +360,7 @@ mod tests {
         assert!(panicked.is_err());
         assert!(cache.inner.is_poisoned());
         // Earlier entries still hit, and new ones are still stored.
-        assert_eq!(cache.lock().get_query(&r.key()).unwrap().indices.len(), 2);
+        assert_eq!(cache.lock().get_query(&r.key()).unwrap().len(), 2);
         cache.lock().put_count(&rect(5.0), CountOutput { count: 0, examined: 0 });
         assert_eq!(cache.len(), 2);
     }

@@ -133,7 +133,7 @@ impl Answer for Arc<QueryOutput> {
     }
 
     fn cost(&self) -> (usize, usize) {
-        (self.examined, self.indices.len())
+        (self.examined, self.len())
     }
 }
 
@@ -343,11 +343,12 @@ impl ExtractionEngine {
         out
     }
 
-    /// All view indices inside `rect` (one extraction query).
+    /// All view indices inside `rect` (one extraction query), copied out
+    /// of the query output in its position order.
     pub fn query_in(&mut self, rect: &Rect) -> Vec<u32> {
         let start = Instant::now();
         let out: Arc<QueryOutput> = self.fetch(rect);
-        let indices = out.indices.clone();
+        let indices = out.to_vec();
         self.stats.elapsed += start.elapsed();
         indices
     }
@@ -451,26 +452,23 @@ impl ExtractionEngine {
             return Vec::new();
         }
         let hits = excluded.hits(out);
-        let len = out.indices.len() - hits.len();
-        let sample = |raw: usize| {
-            let i = out.indices[raw] as usize;
-            Sample {
-                view_index: i as u32,
-                row_id: self.view.row_id(i),
-                point: self.view.point_vec(i),
-            }
+        let len = out.len() - hits.len();
+        let sample = |i: u32| Sample {
+            view_index: i,
+            row_id: self.view.row_id(i as usize),
+            point: self.view.point_vec(i as usize),
         };
         if len <= n {
             // Every candidate, in result order.
             let mut skip = hits.iter().peekable();
-            return (0..out.indices.len())
+            return (0..out.len())
                 .filter(|&raw| skip.next_if(|&&h| h as usize == raw).is_none())
-                .map(sample)
+                .map(|raw| sample(out.get(raw)))
                 .collect();
         }
         rng.sample_indices(len, n)
             .into_iter()
-            .map(|p| sample(raw_position(&hits, p)))
+            .map(|p| sample(out.get(raw_position(&hits, p))))
             .collect()
     }
 
@@ -481,7 +479,7 @@ impl ExtractionEngine {
     /// on pre-split streams without changing how much later areas receive.
     pub fn count_candidates(&self, out: &QueryOutput, excluded: &Exclusions) -> usize {
         self.check_exclusions(excluded);
-        out.indices.len() - excluded.count_hits(out)
+        out.len() - excluded.count_hits(out)
     }
 
     /// Whether a query result still holds at least one candidate after
@@ -491,7 +489,7 @@ impl ExtractionEngine {
     pub fn has_candidates(&self, out: &QueryOutput, excluded: &Exclusions) -> bool {
         self.check_exclusions(excluded);
         // A result larger than the whole exclusion set always keeps one.
-        out.indices.len() > excluded.len() || out.indices.len() > excluded.count_hits(out)
+        out.len() > excluded.len() || out.len() > excluded.count_hits(out)
     }
 
     /// The batch policy behind [`ExtractionEngine::query_batch_outputs`]
@@ -563,12 +561,6 @@ impl ExtractionEngine {
     /// Answers every rectangle in one pool pass, results in input order,
     /// with costs (hit/miss pattern included) identical to a serial loop
     /// over [`ExtractionEngine::query_in`].
-    pub fn query_batch_outputs(&mut self, rects: &[Rect]) -> Vec<Arc<QueryOutput>> {
-        self.resolve_batch(rects)
-    }
-
-    /// Batch variant of [`ExtractionEngine::query_in`]: all matching view
-    /// indices per rectangle, in input order, answered in one pool pass.
     ///
     /// ```
     /// use aide_data::view::{Domain, NumericView, SpaceMapper};
@@ -589,15 +581,13 @@ impl ExtractionEngine {
     /// ];
     /// // One pool pass; results in input order, identical to a serial
     /// // loop of `query_in` calls (costs included) for any thread count.
-    /// let results = engine.query_batch(&rects);
-    /// assert_eq!(results, vec![vec![0, 1], vec![1, 2]]);
+    /// let results = engine.query_batch_outputs(&rects);
+    /// assert_eq!(results[0].to_vec(), vec![0, 1]);
+    /// assert_eq!(results[1].to_vec(), vec![1, 2]);
     /// assert_eq!(engine.stats().queries, 2);
     /// ```
-    pub fn query_batch(&mut self, rects: &[Rect]) -> Vec<Vec<u32>> {
-        self.query_batch_outputs(rects)
-            .into_iter()
-            .map(|out| out.indices.clone())
-            .collect()
+    pub fn query_batch_outputs(&mut self, rects: &[Rect]) -> Vec<Arc<QueryOutput>> {
+        self.resolve_batch(rects)
     }
 
     /// Batch variant of [`ExtractionEngine::count_in`]: per-rect counts in
@@ -665,6 +655,8 @@ mod tests {
     use super::*;
     use crate::CacheStats;
     use aide_data::view::{Domain, SpaceMapper};
+    use aide_testkit::prop::gen;
+    use aide_testkit::{forall, prop_assert, prop_assert_eq};
 
     fn grid_view(n_per_side: usize) -> NumericView {
         // Regular lattice so counts are exact.
@@ -817,7 +809,9 @@ mod tests {
             let mut batch = ExtractionEngine::new(view.clone(), IndexKind::Grid);
             batch.set_pool(Pool::new(threads));
             assert_eq!(batch.count_batch(&rects), serial_counts, "{threads} threads");
-            assert_eq!(batch.query_batch(&rects), serial_queries, "{threads} threads");
+            let outs = batch.query_batch_outputs(&rects);
+            let queries: Vec<Vec<u32>> = outs.iter().map(|out| out.to_vec()).collect();
+            assert_eq!(queries, serial_queries, "{threads} threads");
             // Totals match the serial loop exactly (hit/miss pattern too).
             assert_eq!(batch.stats().queries, serial.stats().queries);
             assert_eq!(batch.stats().tuples_examined, serial.stats().tuples_examined);
@@ -884,7 +878,7 @@ mod tests {
         let tracer = Tracer::ring(64);
         engine.set_tracer(tracer.clone());
         let rects = vec![Rect::full_domain(2), Rect::full_domain(2)];
-        engine.query_batch(&rects); // miss + within-batch hit
+        engine.query_batch_outputs(&rects); // miss + within-batch hit
         engine.count_batch(&rects); // both hits (count served off query entries)
         let events = tracer.drain();
         assert_eq!(events.len(), 2, "one wave per batch call, none for singles");
@@ -906,7 +900,7 @@ mod tests {
         assert_eq!(field(&events[0], "wave"), Value::U64(0));
         assert_eq!(field(&events[1], "wave"), Value::U64(1));
         // Empty batches stay silent.
-        engine.query_batch(&[]);
+        engine.query_batch_outputs(&[]);
         assert!(tracer.drain().is_empty());
     }
 
@@ -1013,5 +1007,75 @@ mod tests {
         let mut engine = ExtractionEngine::new(view, IndexKind::Grid);
         let d = engine.density(&Rect::full_domain(2));
         assert!((d - 1.0).abs() < 1e-12);
+    }
+
+    fn point_gen() -> impl gen::Gen<Value = (f64, f64)> {
+        (gen::f64_in(0.0..100.0), gen::f64_in(0.0..100.0))
+    }
+
+    forall! {
+        cases = 48;
+
+        /// A cache whose byte budget holds few answers or none is
+        /// invisible: single-rect, batch and selection calls on an engine
+        /// over it answer exactly as cold engines do, hit or miss, and the
+        /// cache never holds more than its budget.
+        fn a_tiny_budget_answers_like_a_cold_engine(
+            points in gen::vec_of(point_gen(), 0..200),
+            corners in gen::vec_of((point_gen(), point_gen()), 1..6),
+            ops in gen::vec_of((gen::usize_in(0..4), gen::usize_in(0..8), gen::usize_in(0..12)), 0..16),
+            budget in gen::usize_in(0..4_096),
+            seed in gen::any_u64(),
+        ) {
+            let mapper = SpaceMapper::new(
+                vec!["x".into(), "y".into()],
+                vec![Domain::new(0.0, 100.0); 2],
+            );
+            let data: Vec<f64> = points.iter().flat_map(|&(x, y)| [x, y]).collect();
+            let view = NumericView::new(mapper, data, (0..points.len() as u32).collect());
+            let rects: Vec<Rect> = corners
+                .iter()
+                .map(|&((a, b), (c, d))| Rect::new(vec![a.min(c), b.min(d)], vec![a.max(c), b.max(d)]))
+                .collect();
+            for kind in [IndexKind::Grid, IndexKind::Scan] {
+                let template = ExtractionEngine::new(view.clone(), kind);
+                let cold = || {
+                    let mut engine = template.fork_session();
+                    engine.set_shared_cache(SharedRegionCache::new());
+                    engine
+                };
+                let cache = SharedRegionCache::with_budget(budget);
+                let mut tiny = template.fork_session();
+                tiny.set_shared_cache(cache.clone());
+                let excluded = template.exclusions((0..points.len() as u32).filter(|i| i % 3 == 0));
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut ref_rng = rng.clone();
+                for &(op, r, n) in &ops {
+                    let rect = &rects[r % rects.len()];
+                    match op {
+                        0 => prop_assert_eq!(tiny.query_in(rect), cold().query_in(rect)),
+                        1 => prop_assert_eq!(tiny.count_in(rect), cold().count_in(rect)),
+                        2 => prop_assert_eq!(
+                            tiny.sample_in_excluding(rect, n, &mut rng, &excluded),
+                            cold().sample_in_excluding(rect, n, &mut ref_rng, &excluded)
+                        ),
+                        _ => {
+                            let batch = [rect.clone(), rects[r / 2 % rects.len()].clone()];
+                            let wants = [n, n / 2];
+                            let outs = tiny.query_batch_outputs(&batch);
+                            let got = tiny.select_batch_streams(&outs, &wants, &mut rng, &excluded);
+                            let mut reference = cold();
+                            let ref_outs = reference.query_batch_outputs(&batch);
+                            let want = reference.select_batch_streams(
+                                &ref_outs, &wants, &mut ref_rng, &excluded,
+                            );
+                            prop_assert_eq!(got, want, "batch on {:?}", kind);
+                        }
+                    }
+                    prop_assert!(cache.bytes() <= budget, "{} bytes held", cache.bytes());
+                }
+                prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "RNG state on {:?}", kind);
+            }
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! view holds up to millions. [`Exclusions`] keeps E sorted in the order
 //! rows appear in any [`QueryOutput`] — by ([`RegionIndex::run_key`],
 //! view index) — so the raw positions of E ∩ result come out of one walk
-//! over E with a binary search in the matching run: O(|E| · log) per
-//! result, whatever the result's size.
+//! over E with a binary search in the matching run's rows, then a bit
+//! test and a rank in its mask: O(|E| · log) per result, whatever the
+//! result's size.
 
 use aide_data::NumericView;
 
@@ -71,10 +72,16 @@ impl Exclusions {
         self.owner
     }
 
-    /// Calls `hit(p)` for each raw position `p` of `out.indices` that holds
-    /// an excluded view index, in ascending `p`.
+    /// Calls `hit(p)` for each raw position `p` of `out` that holds an
+    /// excluded view index, in ascending `p`.
     fn for_each_hit(&self, out: &QueryOutput, mut hit: impl FnMut(usize)) {
-        let (Some(&(first, _)), Some(&(last, _))) = (out.runs.first(), out.runs.last()) else {
+        if self.keyed.is_empty() {
+            // A session's first round: nothing is labeled, and the
+            // output's keys need not be read.
+            return;
+        }
+        let keys = out.keys();
+        let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
             return;
         };
         let from = self.keyed.partition_point(|&(k, _)| k < first);
@@ -84,29 +91,23 @@ impl Exclusions {
                 break;
             }
             // Runs and entries both ascend by key: the cursor only moves on.
-            r += out.runs[r..].partition_point(|&(k, _)| k < key);
-            if out.runs[r].0 != key {
-                continue;
-            }
-            let start = out.runs[r].1 as usize;
-            let end = out
-                .runs
-                .get(r + 1)
-                .map_or(out.indices.len(), |&(_, s)| s as usize);
-            if let Ok(p) = out.indices[start..end].binary_search(&i) {
-                hit(start + p);
+            r += keys[r..].partition_point(|&k| k < key);
+            if keys[r] == key {
+                if let Some(p) = out.position(r, i) {
+                    hit(p);
+                }
             }
         }
     }
 
-    /// The ascending raw positions in `out.indices` of excluded indices.
+    /// The ascending raw positions in `out` of excluded indices.
     pub(crate) fn hits(&self, out: &QueryOutput) -> Vec<u32> {
         let mut hits = Vec::new();
         self.for_each_hit(out, |p| hits.push(p as u32));
         hits
     }
 
-    /// How many of `out.indices` are excluded.
+    /// How many of `out`'s view indices are excluded.
     pub(crate) fn count_hits(&self, out: &QueryOutput) -> usize {
         let mut count = 0;
         self.for_each_hit(out, |_| count += 1);
@@ -134,6 +135,8 @@ pub(crate) fn raw_position(hits: &[u32], p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::OutputBuilder;
+    use std::sync::Arc;
 
     #[test]
     fn raw_position_skips_every_hit() {
@@ -148,14 +151,16 @@ mod tests {
 
     #[test]
     fn hits_follow_runs_and_ignore_other_keys() {
-        let out = QueryOutput {
-            // Runs: key 3 → [4, 9], key 5 → [1, 2, 8], key 9 → [0].
-            indices: vec![4, 9, 1, 2, 8, 0],
-            runs: vec![(3, 0), (5, 2), (9, 5)],
-            examined: 0,
-        };
+        // Cells 3 → rows [4, 9] (full), 5 → [1, 2, 8] with 2 cut away,
+        // 9 → [0] (full); the output is [4, 9, 1, 8, 0].
+        let mut b = OutputBuilder::new(Some(Arc::from(vec![4, 9, 1, 2, 8, 0])));
+        b.push_full(3, 0, 2);
+        b.push_masked(5, 2, 3, |m| m.push(0b101));
+        b.push_full(9, 5, 1);
+        let out = b.finish(0);
         let set = Exclusions {
-            // (4, 1): key absent from the output; (5, 7): not in its run.
+            // (4, 1): key absent from the output; (5, 7): not a row of
+            // its cell; (5, 2): a row of its cell the mask cuts away.
             keyed: vec![
                 (0, 6),
                 (3, 9),
@@ -168,13 +173,9 @@ mod tests {
             ],
             owner: 1,
         };
-        assert_eq!(set.hits(&out), vec![1, 3, 4, 5]);
-        assert_eq!(set.count_hits(&out), 4);
-        let empty = QueryOutput {
-            indices: vec![],
-            runs: vec![],
-            examined: 0,
-        };
+        assert_eq!(set.hits(&out), vec![1, 3, 4]);
+        assert_eq!(set.count_hits(&out), 3);
+        let empty = OutputBuilder::new(None).finish(0);
         assert!(set.hits(&empty).is_empty());
         assert!(Exclusions::none().hits(&out).is_empty());
     }

@@ -10,14 +10,18 @@
 //! The cells are stored in CSR form: one `rows` array holding every view
 //! index grouped by cell, and `offsets` (one per cell, plus one) marking
 //! where each cell's slice starts. Each slice is in ascending view order.
+//! `rows` is shared: every [`QueryOutput`] the index returns holds it by
+//! reference, and names a cell's slice instead of copying it.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
 
 use crate::block::{Block, Cell};
+use crate::output::OutputBuilder;
 use crate::{CountOutput, QueryOutput, RegionIndex};
 
 /// Grid index over a [`NumericView`]'s normalized points.
@@ -25,8 +29,9 @@ use crate::{CountOutput, QueryOutput, RegionIndex};
 pub struct GridIndex {
     dims: usize,
     resolution: usize,
-    /// View indices grouped by flat cell id, ascending within each cell.
-    rows: Vec<u32>,
+    /// View indices grouped by flat cell id, ascending within each cell;
+    /// shared with the query outputs.
+    rows: Arc<[u32]>,
     /// `rows[offsets[c]..offsets[c + 1]]` is cell `c`'s slice.
     offsets: Vec<u32>,
     /// Number of non-empty cells.
@@ -103,10 +108,13 @@ impl GridIndex {
             offsets[c + 1] += offsets[c];
         }
         let mut cursor = offsets[..cells].to_vec();
-        let mut rows = vec![0u32; ids.len()];
+        // Built in its `Arc` (an exact-size iterator collects in place;
+        // `Arc::from(Vec)` would copy the whole array).
+        let mut rows: Arc<[u32]> = std::iter::repeat_n(0, ids.len()).collect();
+        let slots = Arc::get_mut(&mut rows).expect("a fresh Arc is unique");
         for (i, &c) in ids.iter().enumerate() {
             let slot = &mut cursor[c as usize];
-            rows[*slot as usize] = i as u32;
+            slots[*slot as usize] = i as u32;
             *slot += 1;
         }
         Self {
@@ -203,31 +211,23 @@ fn total_cells(resolution: usize, dims: usize) -> usize {
 }
 
 impl RegionIndex for GridIndex {
+    /// One run per overlapping non-empty cell: a full cell by reference,
+    /// a cut cell as one mask bit per row.
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
-        let mut indices = Vec::new();
-        let mut runs = Vec::new();
+        let mut out = OutputBuilder::new(Some(Arc::clone(&self.rows)));
         let mut examined = 0usize;
         self.for_each_cell(rect, |cell, rows, full| {
-            let start = indices.len();
+            let from = self.offsets[cell] as usize;
             if full {
-                indices.extend_from_slice(rows);
+                out.push_full(cell as u32, from, rows.len());
             } else {
                 examined += rows.len();
-                // Kernel sweep preserves the cell's ascending order.
-                view.filter_indices_into(rect, rows, &mut indices);
-            }
-            if indices.len() > start {
-                runs.push((cell as u32, start as u32));
+                out.push_masked(cell as u32, from, rows.len(), |masks| {
+                    view.mask_indices_into(rect, rows, masks)
+                });
             }
         });
-        // The region cache keeps outputs as returned: drop the growth slack.
-        indices.shrink_to_fit();
-        runs.shrink_to_fit();
-        QueryOutput {
-            indices,
-            runs,
-            examined,
-        }
+        out.finish(examined)
     }
 
     fn count(&self, view: &NumericView, rect: &Rect) -> CountOutput {
@@ -330,7 +330,7 @@ mod tests {
             Rect::new(vec![50.0, 50.0], vec![50.0, 50.0]),
         ];
         for rect in &rects {
-            let mut got = idx.query(&view, rect).indices;
+            let mut got = idx.query(&view, rect).to_vec();
             got.sort_unstable();
             let mut want: Vec<u32> = view
                 .indices_in(rect)
@@ -348,7 +348,7 @@ mod tests {
             let view = uniform_view(2_000, dims, dims as u64);
             let idx = GridIndex::build(&view);
             let rect = Rect::new(vec![20.0; dims], vec![80.0; dims]);
-            let mut got = idx.query(&view, &rect).indices;
+            let mut got = idx.query(&view, &rect).to_vec();
             got.sort_unstable();
             let mut want: Vec<u32> = view
                 .indices_in(&rect)
@@ -366,7 +366,7 @@ mod tests {
         let idx = GridIndex::with_resolution(&view, 10);
         // The whole domain: every cell is fully inside, zero point tests.
         let out = idx.query(&view, &Rect::full_domain(2));
-        assert_eq!(out.indices.len(), 1_000);
+        assert_eq!(out.len(), 1_000);
         assert_eq!(out.examined, 0);
         // A small rectangle strictly inside one cell examines only that
         // cell's points.
@@ -389,7 +389,7 @@ mod tests {
         let view = NumericView::new(mapper, vec![], vec![]);
         let idx = GridIndex::build(&view);
         let out = idx.query(&view, &Rect::full_domain(1));
-        assert!(out.indices.is_empty());
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
         ] {
             let full = idx.query(&view, &rect);
             let fast = idx.count(&view, &rect);
-            assert_eq!(fast.count, full.indices.len());
+            assert_eq!(fast.count, full.len());
             assert_eq!(fast.examined, full.examined);
         }
     }
@@ -428,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_ascend_and_partition_the_result() {
+    fn runs_ascend_and_hold_their_cells_members() {
         let view = uniform_view(5_000, 2, 8);
         let idx = GridIndex::with_resolution(&view, 16);
         for rect in [
@@ -438,16 +438,21 @@ mod tests {
             Rect::new(vec![99.9, 0.0], vec![100.0, 0.1]),
         ] {
             let out = idx.query(&view, &rect);
-            assert!(out.runs.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
-            assert_eq!(out.runs.first().map_or(0, |r| r.1), 0);
-            let ends = out.runs.iter().skip(1).map(|r| r.1 as usize);
-            for (&(cell, start), end) in out.runs.iter().zip(ends.chain([out.indices.len()])) {
-                let run = &out.indices[start as usize..end];
-                assert!(!run.is_empty());
-                assert!(run.windows(2).all(|w| w[0] < w[1]), "run ascends");
-                for &i in run {
-                    assert_eq!(idx.run_key(&view, i), cell);
-                }
+            let keys = out.keys();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            // Positions ascend by (cell, view index), and each member is
+            // found at its position in the run of its cell.
+            let keyed: Vec<(u32, u32)> = out
+                .to_vec()
+                .into_iter()
+                .map(|i| (idx.run_key(&view, i), i))
+                .collect();
+            assert!(keyed.windows(2).all(|w| w[0] < w[1]));
+            for (p, &(cell, i)) in keyed.iter().enumerate() {
+                let r = keys.partition_point(|&k| k < cell);
+                assert_eq!(keys[r], cell);
+                assert_eq!(out.position(r, i), Some(p));
+                assert_eq!(out.get(p), i);
             }
         }
     }

@@ -15,6 +15,9 @@
 //! * [`ExtractionEngine`] — the façade the framework talks to, with
 //!   per-session counters for extraction queries, tuples examined and
 //!   wall-clock time (the paper's "sample extraction time");
+//! * [`QueryOutput`] — a query's answer as runs over the rows the access
+//!   path already stores: full cells by reference, cut cells as bit
+//!   masks, so no answer copies row ids;
 //! * [`Exclusions`] — the session's labeled rows, keyed so that removing
 //!   them from a query result costs O(|labels| · log) rather than a pass
 //!   over the result;
@@ -28,6 +31,7 @@ pub mod cache;
 pub mod engine;
 pub mod exclusions;
 pub mod grid;
+pub mod output;
 pub mod scan;
 
 pub use block::Block;
@@ -35,35 +39,13 @@ pub use cache::{CacheStats, SharedRegionCache};
 pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
 pub use exclusions::Exclusions;
 pub use grid::GridIndex;
+pub use output::QueryOutput;
 pub use scan::ScanIndex;
 
 use std::ops::Range;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
-
-/// Result of a region query: matching view indices, grouped into runs,
-/// plus the number of points the access path had to examine to find them
-/// (the paper's extraction-cost driver).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryOutput {
-    /// View indices of points inside the query rectangle.
-    ///
-    /// Order is part of each access path's contract (sample selection maps
-    /// RNG draws onto positions in this list): [`ScanIndex`] returns
-    /// ascending view order; [`GridIndex`] returns cell-major visit order
-    /// (ascending within each cell).
-    pub indices: Vec<u32>,
-    /// `(key, start)` for each run of `indices`, in strictly ascending key
-    /// order; a run ends where the next one starts (the last at
-    /// `indices.len()`). Runs are non-empty and partition `indices`, and
-    /// each run is in ascending view order. Every index in a run has
-    /// [`RegionIndex::run_key`] equal to the run's key, so whether a given
-    /// view index is in the output is one binary search in one run.
-    pub runs: Vec<(u32, u32)>,
-    /// Points whose coordinates were compared against the rectangle.
-    pub examined: usize,
-}
 
 /// Result of a counting query: how many points match plus how many were
 /// examined, with no per-match allocation.
@@ -93,14 +75,14 @@ pub trait RegionIndex: Send + Sync {
     fn count(&self, view: &NumericView, rect: &Rect) -> CountOutput {
         let out = self.query(view, rect);
         CountOutput {
-            count: out.indices.len(),
+            count: out.len(),
             examined: out.examined,
         }
     }
 
-    /// The key of the [`QueryOutput::runs`] entry that view index `i`
-    /// falls in, should a query return it: the flat cell id for
-    /// [`GridIndex`], `0` for [`ScanIndex`].
+    /// The key of the [`QueryOutput`] run that view index `i` falls in,
+    /// should a query return it: the flat cell id for [`GridIndex`], `0`
+    /// for [`ScanIndex`].
     fn run_key(&self, view: &NumericView, i: u32) -> u32;
 
     /// Calls `visit` for the blocks at positions `span` of this access

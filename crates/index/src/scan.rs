@@ -11,6 +11,7 @@ use std::ops::Range;
 use aide_data::NumericView;
 use aide_util::geom::Rect;
 
+use crate::output::OutputBuilder;
 use crate::{Block, CountOutput, QueryOutput, RegionIndex};
 
 /// An index-free access path that examines every point on every query.
@@ -25,23 +26,14 @@ impl ScanIndex {
 }
 
 impl RegionIndex for ScanIndex {
+    /// One run over the view's rows in view order, masked by the
+    /// columnar containment kernel.
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
-        // The columnar containment kernel sweeps every lane in ascending
-        // row order — the same output (and the same examined count) as the
-        // old per-row filter loop, minus the branches.
-        let mut indices = Vec::new();
-        view.scan_rect_into(rect, 0, view.len(), &mut indices);
-        // Ascending view order is one run under the single key 0.
-        let runs = if indices.is_empty() {
-            Vec::new()
-        } else {
-            vec![(0, 0)]
-        };
-        QueryOutput {
-            indices,
-            runs,
-            examined: view.len(),
-        }
+        let mut out = OutputBuilder::new(None);
+        out.push_masked(0, 0, view.len(), |masks| {
+            view.mask_rect_into(rect, 0, view.len(), masks)
+        });
+        out.finish(view.len())
     }
 
     fn count(&self, view: &NumericView, rect: &Rect) -> CountOutput {
@@ -92,8 +84,8 @@ mod tests {
         let data = vec![10.0, 10.0, 50.0, 50.0, 90.0, 90.0];
         let view = NumericView::new(mapper, data, vec![0, 1, 2]);
         let out = ScanIndex::new().query(&view, &Rect::new(vec![0.0, 0.0], vec![60.0, 60.0]));
-        assert_eq!(out.indices, vec![0, 1]);
-        assert_eq!(out.runs, vec![(0, 0)]);
+        assert_eq!(out.to_vec(), vec![0, 1]);
+        assert_eq!(out.keys(), [0]);
         assert_eq!(out.examined, 3);
     }
 }

@@ -107,7 +107,7 @@ fn hashset_select(
         return Vec::new();
     }
     let candidates: Vec<u32> = out
-        .indices
+        .to_vec()
         .iter()
         .copied()
         .filter(|&i| !excluded.contains(&view.row_id(i as usize)))
@@ -132,7 +132,7 @@ fn hashset_select(
 
 /// The reference candidate count: the result filtered through a row-id set.
 fn hashset_count(view: &NumericView, out: &QueryOutput, excluded: &HashSet<u32>) -> usize {
-    out.indices
+    out.to_vec()
         .iter()
         .filter(|&&i| !excluded.contains(&view.row_id(i as usize)))
         .count()
@@ -174,7 +174,7 @@ forall! {
         let scan = ScanIndex::new();
         let paths: [&dyn RegionIndex; 2] = [&grid, &scan];
         for path in paths {
-            let mut got = path.query(&view, &rect).indices;
+            let mut got = path.query(&view, &rect).to_vec();
             got.sort_unstable();
             prop_assert_eq!(&got, &expected, "path {} disagrees", path.name());
         }
@@ -450,7 +450,7 @@ forall! {
                 match op {
                     0 => prop_assert_eq!(
                         forks[f].query_in(&rects[0]),
-                        index.query(&view, &rects[0]).indices,
+                        index.query(&view, &rects[0]).to_vec(),
                         "query_in on {:?}", kind
                     ),
                     1 => prop_assert_eq!(
@@ -529,20 +529,20 @@ forall! {
             let index = direct_index(&view, kind);
             let outputs: Vec<QueryOutput> = rects.iter().map(|r| index.query(&view, r)).collect();
             let first = &outputs[0];
-            let in_first: HashSet<u32> = first.indices.iter().copied().collect();
+            let in_first: HashSet<u32> = first.to_vec().iter().copied().collect();
             let all = 0..points.len() as u32;
             let labeled: Vec<u32> = match mode {
                 0 => Vec::new(),
                 1 => all.filter(|i| !in_first.contains(i) && coin(pick, *i, 2)).collect(),
                 2 => first
-                    .indices
+                    .to_vec()
                     .iter()
                     .copied()
                     .filter(|&i| in_partial_cell(&view, i as usize, &rects[0], resolution))
                     .filter(|&i| coin(pick, i, 2))
                     .collect(),
-                3 => first.indices.clone(),
-                4 => first.indices.iter().skip(1).copied().collect(),
+                3 => first.to_vec().clone(),
+                4 => first.to_vec().iter().skip(1).copied().collect(),
                 _ => all.filter(|&i| coin(pick, i, 3)).collect(),
             };
             let rows: HashSet<u32> = labeled.iter().map(|&i| view.row_id(i as usize)).collect();
@@ -630,10 +630,81 @@ forall! {
         };
         let grid = GridIndex::build_with(&view, &Pool::new(threads));
         for rect in [rect_from(&corners), Rect::full_domain(2)] {
-            let mut from_grid = grid.query(&view, &rect).indices;
+            let mut from_grid = grid.query(&view, &rect).to_vec();
             from_grid.sort_unstable();
-            prop_assert_eq!(&from_grid, &ScanIndex::new().query(&view, &rect).indices);
+            prop_assert_eq!(&from_grid, &ScanIndex::new().query(&view, &rect).to_vec());
             prop_assert_eq!(grid.count(&view, &rect).count, from_grid.len());
+        }
+    }
+
+    /// A query output is the cell-major filter it replaced: for the grid
+    /// and the scan, on points spread over the domain or packed into one
+    /// corner (so one grid cell holds hundreds of rows and its mask spans
+    /// many words), on rectangles whose bounds sit on cell edges, on the
+    /// domain's edges, outside the domain or anywhere, degenerate ones
+    /// and the full domain among them, `to_vec()` and `get(p)` equal every
+    /// matching view index sorted by (run key, view index), and excluding
+    /// a random subset of the view leaves exactly the reference's
+    /// candidates, in its order.
+    fn outputs_equal_the_cell_major_filter(
+        raw in gen::vec_of((gen::f64_in(0.0..100.0), gen::f64_in(0.0..100.0)), 0..600),
+        packed in gen::any_bool(),
+        bounds in gen::vec_of(
+            (gen::usize_in(0..6), gen::f64_in(0.0..100.0), gen::usize_in(0..65)),
+            4..5,
+        ),
+        pick in gen::any_u64(),
+    ) {
+        let scale = if packed { 0.03 } else { 1.0 };
+        let points: Vec<(f64, f64)> = raw.iter().map(|&(x, y)| (x * scale, y * scale)).collect();
+        let view = view_from(&points);
+        let resolution = GridIndex::build(&view).resolution();
+        let w = 100.0 / resolution as f64;
+        let v: Vec<f64> = bounds
+            .iter()
+            .map(|&(kind, value, k)| match kind {
+                0 => value * scale,
+                1 => (k % (resolution + 1)) as f64 * w,
+                2 => 100.0,
+                3 => 0.0,
+                4 => -value,
+                _ => 100.0 + value,
+            })
+            .collect();
+        let rects = [
+            Rect::new(
+                vec![v[0].min(v[1]), v[2].min(v[3])],
+                vec![v[0].max(v[1]), v[2].max(v[3])],
+            ),
+            Rect::new(vec![v[0], v[2]], vec![v[0], v[2]]),
+            Rect::full_domain(2),
+        ];
+        let labeled: Vec<u32> = (0..points.len() as u32).filter(|&i| coin(pick, i, 3)).collect();
+        for kind in [IndexKind::Grid, IndexKind::Scan] {
+            let mut engine = ExtractionEngine::new(view.clone(), kind);
+            let excluded = engine.exclusions(labeled.iter().copied());
+            for rect in &rects {
+                let mut want: Vec<(u32, u32)> = view
+                    .indices_in(rect)
+                    .into_iter()
+                    .map(|i| (engine.index().run_key(&view, i as u32), i as u32))
+                    .collect();
+                want.sort_unstable();
+                let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+                let out = engine.index().query(&view, rect);
+                prop_assert_eq!(out.len(), want.len());
+                prop_assert_eq!(&out.to_vec(), &want, "to_vec on {:?}", kind);
+                for (p, &i) in want.iter().enumerate() {
+                    prop_assert_eq!(out.get(p), i, "get({}) on {:?}", p, kind);
+                }
+
+                let kept: Vec<u32> = want.iter().copied().filter(|i| !labeled.contains(i)).collect();
+                prop_assert_eq!(engine.count_candidates(&out, &excluded), kept.len());
+                let mut rng = Xoshiro256pp::seed_from_u64(pick);
+                let all = engine.sample_in_excluding(rect, kept.len() + 1, &mut rng, &excluded);
+                let got: Vec<u32> = all.iter().map(|s| s.view_index).collect();
+                prop_assert_eq!(&got, &kept, "candidates on {:?}", kind);
+            }
         }
     }
 }

@@ -4,6 +4,7 @@
 use aide_testkit::prop::gen;
 use aide_testkit::{forall, prop_assert, prop_assert_eq};
 use aide_util::geom::Rect;
+use aide_util::json::Json;
 use aide_util::par::Pool;
 use aide_util::rng::{Rng, Xoshiro256pp};
 use aide_util::stats::OnlineStats;
@@ -24,7 +25,148 @@ fn rect_from(bounds: &[(f64, f64)]) -> Rect {
     Rect::new(lo, hi)
 }
 
+/// Characters a JSON string must survive: printable ASCII, the two the
+/// writer escapes by name, every control character, DEL, and non-ASCII
+/// text from two to four UTF-8 bytes, the line and paragraph separators
+/// and the last code points of both planes among it.
+const JSON_CHARS: &str = "aZ09 /:{}[],\"\\\u{0}\u{1}\u{8}\t\n\u{b}\u{c}\r\u{1b}\u{1f}\u{7f}\
+    éß€中日\u{2028}\u{2029}\u{ffff}😀\u{10ffff}";
+
+/// Nested JSON values up to `depth` levels of arrays and objects, with
+/// escape-heavy and non-ASCII strings and finite numbers that include
+/// ±0, subnormals and the extremes of `f64`. Shrinks toward a child, a
+/// shorter container, a shorter string or 0.
+#[derive(Debug, Clone)]
+struct JsonGen {
+    depth: usize,
+}
+
+impl JsonGen {
+    fn string(rng: &mut Xoshiro256pp) -> String {
+        let chars: Vec<char> = JSON_CHARS.chars().collect();
+        let len = rng.index(10);
+        (0..len).map(|_| chars[rng.index(chars.len())]).collect()
+    }
+
+    fn number(rng: &mut Xoshiro256pp) -> f64 {
+        let bits = rng.next_u64();
+        let special = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1,
+            1e21,
+            1e-7,
+            9_007_199_254_740_993.0,
+        ];
+        match rng.index(5) {
+            // Any finite bit pattern: a non-finite one keeps its sign and
+            // mantissa as a subnormal.
+            0 => {
+                let v = f64::from_bits(bits);
+                if v.is_finite() {
+                    v
+                } else {
+                    f64::from_bits(bits & 0x800f_ffff_ffff_ffff)
+                }
+            }
+            1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            2 => special[rng.index(special.len())],
+            3 => (bits % 2_001) as f64 - 1_000.0,
+            _ => rng.uniform(-1e6, 1e6),
+        }
+    }
+}
+
+impl gen::Gen for JsonGen {
+    type Value = Json;
+
+    fn generate(&self, rng: &mut Xoshiro256pp) -> Json {
+        let kinds = if self.depth == 0 { 4 } else { 6 };
+        let child = JsonGen {
+            depth: self.depth.saturating_sub(1),
+        };
+        match rng.index(kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_u64() & 1 == 1),
+            2 => Json::Num(Self::number(rng)),
+            3 => Json::Str(Self::string(rng)),
+            4 => Json::Arr((0..rng.index(5)).map(|_| child.generate(rng)).collect()),
+            _ => Json::Obj(
+                (0..rng.index(5))
+                    .map(|_| (Self::string(rng), child.generate(rng)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn shrink(&self, value: &Json) -> Vec<Json> {
+        match value {
+            Json::Null => Vec::new(),
+            Json::Bool(_) | Json::Num(_) => vec![Json::Null],
+            Json::Str(s) => {
+                let mut chars: Vec<char> = s.chars().collect();
+                let mut out = vec![Json::Null];
+                if chars.pop().is_some() {
+                    out.push(Json::Str(chars.into_iter().collect()));
+                }
+                out
+            }
+            Json::Arr(items) => {
+                let mut out: Vec<Json> = items.clone();
+                out.extend((0..items.len()).map(|i| {
+                    let mut fewer = items.clone();
+                    fewer.remove(i);
+                    Json::Arr(fewer)
+                }));
+                out
+            }
+            Json::Obj(pairs) => {
+                let mut out: Vec<Json> = pairs.iter().map(|(_, v)| v.clone()).collect();
+                out.extend((0..pairs.len()).map(|i| {
+                    let mut fewer = pairs.clone();
+                    fewer.remove(i);
+                    Json::Obj(fewer)
+                }));
+                out
+            }
+        }
+    }
+}
+
+/// Equality with numbers compared bit for bit, so `-0` differs from `0`.
+fn same_bits(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
 forall! {
+    /// The wire codec round-trips: writing any value and parsing the text
+    /// gives the value back, every number bit for bit.
+    fn json_write_then_parse_is_the_identity(value in JsonGen { depth: 4 }) {
+        let text = value.to_string();
+        let back = Json::parse(&text).map_err(|e| format!("{text}: {e}"))?;
+        prop_assert!(same_bits(&back, &value), "{text} parsed as {back:?}");
+    }
+
     fn uniform_stays_in_bounds(
         seed in gen::any_u64(),
         lo in gen::f64_in(-1e6..1e6),

@@ -35,6 +35,8 @@ import sys
 PROTOCOL = "aide-serve/1"
 TARGET = {"lo": [40.0, 55.0], "hi": [48.0, 63.0]}
 MAX_FRAME = 1 << 20
+# The region cache's byte budget, `SharedRegionCache::BUDGET_BYTES`.
+CACHE_BUDGET = 64 << 20
 
 
 class ProtocolError(Exception):
@@ -144,6 +146,8 @@ def run_sessions(host: str, port: int, rounds: int) -> int:
         raise ProtocolError(f"expected 2 live sessions: {stats}")
     if stats.get("cache_hits", 0) <= 0:
         raise ProtocolError(f"shared region cache shows no hits: {stats}")
+    if not 0 < stats.get("cache_bytes", 0) <= CACHE_BUDGET:
+        raise ProtocolError(f"cache_bytes outside (0, {CACHE_BUDGET}]: {stats}")
 
     traces = []
     for conn, sid in ((conn_a, sid_a), (conn_b, sid_b)):
@@ -155,7 +159,8 @@ def run_sessions(host: str, port: int, rounds: int) -> int:
     conn_b.close()
     print(
         f"ok: 2 sessions x {rounds} rounds, "
-        f"{stats['cache_hits']} shared cache hits / {stats['cache_misses']} misses"
+        f"{stats['cache_hits']} shared cache hits / {stats['cache_misses']} misses, "
+        f"{stats['cache_bytes']} cache bytes"
     )
     for t in traces:
         print(f"trace: {t}")

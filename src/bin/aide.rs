@@ -15,7 +15,8 @@
 //! `dataset pack` freezes a CSV projection into the columnar
 //! `aide-view/1` binary format (lane-major `f64` bit patterns — see
 //! `ARCHITECTURE.md`); `dataset info` validates such a file and prints
-//! its shape. The scale benches stream multi-million-row substrates from
+//! its shape, whether its row ids are stored or are `0..n`, and each
+//! lane's count, min, mean and max. The scale benches stream multi-million-row substrates from
 //! these files instead of regenerating them.
 //!
 //! `explore` runs the steering loop of the paper: each round extracts a
@@ -413,11 +414,29 @@ fn cmd_dataset(args: &[String], flags: &Flags) -> Result<(), String> {
             let path = flags.require("view")?;
             let view = aide::data::load_view(path.as_ref())
                 .map_err(|e| format!("cannot load {path}: {e}"))?;
-            println!("aide-view/1: {} rows, {} lanes", view.len(), view.dims());
-            let mapper = view.mapper();
-            for (d, attr) in mapper.attrs().iter().enumerate() {
-                let dom = &mapper.domains()[d];
-                println!("  lane {d}: {attr} in [{}, {}]", dom.lo(), dom.hi());
+            let ids = match view.stored_row_ids() {
+                Some(_) => "stored",
+                None => "identity (not stored)",
+            };
+            println!(
+                "aide-view/1: {} rows, {} lanes, row ids {ids}",
+                view.len(),
+                view.dims()
+            );
+            let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_owned(), |v| format!("{v:.6}"));
+            let domains = view.mapper().domains();
+            for (d, lane) in view.describe_lanes().iter().enumerate() {
+                let dom = &domains[d];
+                println!(
+                    "  lane {d}: {} in [{}, {}]: count {}, min {}, mean {}, max {}",
+                    lane.name,
+                    dom.lo(),
+                    dom.hi(),
+                    lane.count,
+                    fmt(lane.min),
+                    fmt(lane.mean),
+                    fmt(lane.max)
+                );
             }
             Ok(())
         }

@@ -194,3 +194,36 @@ fn explore_rejects_non_finite_csv_cells_without_panicking() {
         );
     }
 }
+
+#[test]
+fn dataset_info_profiles_every_lane() {
+    let csv = tmp_path("info.csv");
+    let view = tmp_path("info.aideview");
+    let out = aide()
+        .args(["generate", "--dataset", "sdss", "--rows", "500"])
+        .args(["--out", csv.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "generate failed: {}", stderr(&out));
+    let out = aide()
+        .args(["dataset", "pack", "--csv", csv.to_str().unwrap()])
+        .args(["--attrs", "rowc,colc", "--out", view.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "pack failed: {}", stderr(&out));
+    let out = aide()
+        .args(["dataset", "info", "--view", view.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "info failed: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("500 rows, 2 lanes, row ids identity (not stored)"), "{text}");
+    for lane in ["lane 0: rowc", "lane 1: colc"] {
+        let line = text.lines().find(|l| l.contains(lane)).expect(lane);
+        for field in ["count 500", "min ", "mean ", "max "] {
+            assert!(line.contains(field), "{line}");
+        }
+    }
+    let _ = std::fs::remove_file(csv);
+    let _ = std::fs::remove_file(view);
+}
