@@ -128,13 +128,14 @@ fn main() {
         }
         out.len()
     });
-    // Sparse candidate list, the grid residual-filter shape.
+    // Sparse candidate list through the mask kernel, the shape of the
+    // grid's cut cells.
     let candidates: Vec<u32> = (0..view.len() as u32).step_by(3).collect();
     let filt_view = Arc::clone(&view);
     let filt_rect = rect.clone();
     group.bench("candidate_filter/66k_of_200k", move || {
         let mut out = Vec::new();
-        filt_view.filter_indices_into(black_box(&filt_rect), &candidates, &mut out);
+        filt_view.mask_indices_into(black_box(&filt_rect), &candidates, &mut out);
         out.len()
     });
     drop(group);

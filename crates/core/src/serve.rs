@@ -49,7 +49,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -647,17 +647,10 @@ pub fn serve_connection(stream: TcpStream, host: &SessionHost) -> std::io::Resul
             Frame::Eof => return Ok(()),
             Frame::Oversized => {
                 let e = err("bad_frame", &format!("line exceeds {MAX_FRAME} bytes"));
-                writer.write_all(e.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                return Ok(());
+                return close_after(&e, reader, writer);
             }
             Frame::NotUtf8 => {
-                let e = err("bad_frame", "line is not valid UTF-8");
-                writer.write_all(e.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                return Ok(());
+                return close_after(&err("bad_frame", "line is not valid UTF-8"), reader, writer);
             }
             Frame::Line(line) => host.handle(&line),
         };
@@ -665,6 +658,45 @@ pub fn serve_connection(stream: TcpStream, host: &SessionHost) -> std::io::Resul
         writer.write_all(b"\n")?;
         writer.flush()?;
     }
+}
+
+/// How long a connection closed for a framing violation keeps reading
+/// what the client still sends.
+const CLOSE_LINGER: Duration = Duration::from_secs(2);
+
+/// Sends the error frame `e` and closes the connection gracefully. The
+/// rest of the offending line may still be unread, and a socket closed
+/// over unread input sends a reset that can overtake the error frame at
+/// the client. So the write side is shut first (the client reads the
+/// frame, then end of stream), and at most [`MAX_FRAME`] more bytes are
+/// read and dropped until the client closes or [`CLOSE_LINGER`] passes.
+fn close_after(
+    e: &str,
+    mut reader: BufReader<TcpStream>,
+    mut writer: BufWriter<TcpStream>,
+) -> std::io::Result<()> {
+    writer.write_all(e.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()?;
+    writer.get_ref().shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + CLOSE_LINGER;
+    let mut dropped = 0;
+    while dropped < MAX_FRAME {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if wait.is_zero() {
+            break;
+        }
+        reader.get_ref().set_read_timeout(Some(wait))?;
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => break,
+            Ok(chunk) => {
+                let n = chunk.len();
+                reader.consume(n);
+                dropped += n;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Pause after a failed `accept` before the listener is polled again.

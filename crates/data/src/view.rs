@@ -436,34 +436,11 @@ impl NumericView {
         ok
     }
 
-    /// Scattered-candidate form of the kernel: appends to `out` the
-    /// members of `candidates` lying inside `rect`, **preserving candidate
-    /// order**. The grid's cut cells use the mask form,
-    /// [`NumericView::mask_indices_into`], which keeps the same members in
-    /// the same order without copying them.
-    ///
-    /// Branch-free compaction through a stack buffer: every candidate is
-    /// written at the cursor, and the cursor advances only past the ones
-    /// inside `rect`. The kept ones are then pushed one by one, so `out`
-    /// grows exactly as a filtered `extend` would.
-    pub fn filter_indices_into(&self, rect: &Rect, candidates: &[u32], out: &mut Vec<u32>) {
-        assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
-        let mut buf = [0u32; 256];
-        for chunk in candidates.chunks(buf.len()) {
-            let mut kept = 0;
-            for &i in chunk {
-                buf[kept] = i;
-                kept += self.contains_index(rect, i as usize) as usize;
-            }
-            for &i in &buf[..kept] {
-                out.push(i);
-            }
-        }
-    }
-
-    /// Mask form of [`NumericView::filter_indices_into`]: appends one word
-    /// per 64 candidates, bit `j` of a word set iff its candidate `j` lies
-    /// inside `rect`. Branch-free: every candidate's test is or-ed in.
+    /// Scattered-candidate form of the kernel, as the grid's cut cells
+    /// use it: appends one word per 64 candidates, bit `j` of a word set
+    /// iff its candidate `j` lies inside `rect`, so the members keep
+    /// **candidate order**. Branch-free: every candidate's test is or-ed
+    /// in.
     pub fn mask_indices_into(&self, rect: &Rect, candidates: &[u32], out: &mut Vec<u64>) {
         assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
         out.extend(candidates.chunks(KERNEL_CHUNK).map(|chunk| {
@@ -473,7 +450,7 @@ impl NumericView {
         }));
     }
 
-    /// Counting twin of [`NumericView::filter_indices_into`].
+    /// Counting twin of [`NumericView::mask_indices_into`].
     pub fn count_indices(&self, rect: &Rect, candidates: &[u32]) -> usize {
         assert_eq!(rect.dims(), self.dims(), "query dimensionality mismatch");
         candidates
@@ -654,18 +631,24 @@ mod tests {
     }
 
     #[test]
-    fn filter_indices_preserves_candidate_order() {
+    fn mask_indices_preserves_candidate_order() {
         let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 100.0)]);
         let data = vec![5.0, 15.0, 25.0, 35.0, 45.0];
         let view = NumericView::new(mapper, data, (0..5).collect());
         let rect = Rect::new(vec![10.0], vec![40.0]);
-        // Shuffled candidate order must survive the filter untouched.
+        // Bit `j` answers for candidate `j`, whatever the candidate order.
         let candidates = vec![4u32, 1, 3, 0, 2];
         let mut out = Vec::new();
-        view.filter_indices_into(&rect, &candidates, &mut out);
-        assert_eq!(out, vec![1, 3, 2]);
+        view.mask_indices_into(&rect, &candidates, &mut out);
+        assert_eq!(out, vec![0b10110]);
         assert_eq!(view.count_indices(&rect, &candidates), 3);
         assert!(view.contains_index(&rect, 2));
         assert!(!view.contains_index(&rect, 4));
+        // 130 candidates fill two words and the low two bits of a third.
+        let many: Vec<u32> = (0..130).map(|j| [1u32, 4][j % 2]).collect();
+        out.clear();
+        view.mask_indices_into(&rect, &many, &mut out);
+        let alternate = 0x5555_5555_5555_5555u64;
+        assert_eq!(out, vec![alternate, alternate, 0b01]);
     }
 }

@@ -200,12 +200,20 @@ pub struct SharedRegionCache {
 impl SharedRegionCache {
     /// Bytes the cache may hold: its entries, their keys and their
     /// answers ([`QueryOutput::bytes`]), not the index rows answers share.
-    /// The steering loop's working set is a few MB even on a 10M-row
-    /// view, because a query output holds cut cells as bit masks and full
-    /// cells by reference; the budget only bounds memory under
-    /// adversarial workloads. Once an answer would pass it, that answer is
-    /// simply not cached. Entries are never evicted, so a cached answer
-    /// stays cached (which keeps hit patterns deterministic).
+    /// Once an answer would pass it, that answer is simply not cached.
+    /// Entries are never evicted, so a cached answer stays cached (which
+    /// keeps hit patterns deterministic).
+    ///
+    /// This bounds memory; it does not fit a working set, because a
+    /// long-lived server keeps adding answers until it binds. Measured
+    /// on a server that runs session after session: a 4-round session on
+    /// a 10M-row 2-D view adds about 115 KB, so 64 MiB holds about 590
+    /// sessions and lifts the server's peak by 28 MiB over its startup
+    /// mark. The rectangles sessions share are stored in the first few
+    /// sessions, so the hit rate stays put once it binds. A 30-round
+    /// session on 1M rows adds about 275 KB and re-reads its own
+    /// answers; past about 245 such sessions, rounds miss more
+    /// (ARCHITECTURE.md, "Region cache semantics", has the runs).
     pub const BUDGET_BYTES: usize = 64 << 20;
 
     /// An empty cache.

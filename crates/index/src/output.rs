@@ -111,25 +111,8 @@ impl QueryOutput {
             p - run.start as usize
         } else {
             // The last word whose rank is at or before `p` holds it.
-            // Members spread about evenly over a cell's rows, so try the
-            // word `p` would fall in if they did, and its neighbours,
-            // before searching the run's words.
             let words = &self.masks[run.mask as usize..run.mask as usize + run.words()];
-            let end = self.runs.get(r + 1).map_or(self.len, |n| n.start as usize);
-            let start = run.start as usize;
-            let guess = ((p - start) * words.len() / (end - start)).min(words.len() - 1);
-            let holds = |w: usize| {
-                let (rank, bits) = (words[w].rank as usize, words[w].bits);
-                rank <= p && p < rank + bits.count_ones() as usize
-            };
-            let w = [
-                guess,
-                guess.saturating_sub(1),
-                (guess + 1).min(words.len() - 1),
-            ]
-            .into_iter()
-            .find(|&w| holds(w))
-            .unwrap_or_else(|| words.partition_point(|m| m.rank as usize <= p) - 1);
+            let w = words.partition_point(|m| m.rank as usize <= p) - 1;
             let mut bits = words[w].bits;
             for _ in 0..p - words[w].rank as usize {
                 bits &= bits - 1;

@@ -317,7 +317,7 @@ forall! {
     /// The columnar containment kernel is the row-major filter, bit for
     /// bit: for arbitrary dimensionality, data, rectangle and thread
     /// count, `scan_rect_into`/`count_rect`/the order-
-    /// preserving candidate filter — and every engine access path built
+    /// preserving candidate mask — and every engine access path built
     /// on them — agree with an explicit row-major `Rect::contains` loop
     /// over the original flat array.
     fn columnar_kernel_matches_row_major_reference(
@@ -359,13 +359,23 @@ forall! {
         view.scan_rect_into(&rect, mid, n, &mut halves);
         prop_assert_eq!(&halves, &expected, "sub-range partition");
 
-        // The candidate filter preserves an arbitrary candidate order.
+        // The candidate mask preserves an arbitrary candidate order: its
+        // set bits are the kept candidates.
         let reversed: Vec<u32> = (0..n as u32).rev().collect();
-        let mut filtered = Vec::new();
-        view.filter_indices_into(&rect, &reversed, &mut filtered);
+        let mut mask = Vec::new();
+        view.mask_indices_into(&rect, &reversed, &mut mask);
+        prop_assert_eq!(mask.len(), n.div_ceil(64), "one word per 64 candidates");
+        let filtered: Vec<u32> = reversed
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| mask[j / 64] >> (j % 64) & 1 == 1)
+            .map(|(_, &i)| i)
+            .collect();
         let mut expected_rev = expected.clone();
         expected_rev.reverse();
         prop_assert_eq!(&filtered, &expected_rev, "candidate order");
+        let set: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+        prop_assert_eq!(set, expected.len(), "no bit past the candidates");
         prop_assert_eq!(view.count_indices(&rect, &reversed), expected.len());
 
         // Every access path (any thread count) agrees.
