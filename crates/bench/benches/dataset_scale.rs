@@ -104,12 +104,12 @@ fn main() {
     // --- Columnar substrate at scale: aide-view/1 file → engine -------------
     // The whole pipeline runs from an on-disk dataset (generated once,
     // cached under target/datasets/): streamed load, grid build, an
-    // uncached rectangle count, and three steering iterations. The 1 M
-    // group always runs (the CI smoke); the 10 M group — ~240 MB on disk
-    // and tens of seconds of bench time — opts in via AIDE_BENCH_10M=1,
-    // which the perf-tracking job sets. Gating on the env var alone keeps
-    // the bench-record set identical across AIDE_THREADS values (the
-    // threads-matrix CI job diffs record names).
+    // uncached rectangle count and query, and three steering iterations.
+    // The 1 M group always runs (the CI smoke); the 10 M group — ~240 MB
+    // on disk and tens of seconds of bench time — opts in via
+    // AIDE_BENCH_10M=1, which the perf-tracking job sets. Gating on the
+    // env var alone keeps the bench-record set identical across
+    // AIDE_THREADS values (the threads-matrix CI job diffs record names).
     let full_scale = std::env::var("AIDE_BENCH_10M").is_ok_and(|v| v == "1");
     let scales: &[(usize, &str)] = if full_scale {
         &[(1_000_000, "1m"), (10_000_000, "10m")]
@@ -141,6 +141,14 @@ fn main() {
         let count_rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
         group.bench("count_uncached", move || {
             count_index.count(&count_view, black_box(&count_rect))
+        });
+        // `RegionIndex::query` on the same rectangle: the runs and masks
+        // of an answer the cache would keep.
+        let query_index = Arc::clone(&grid);
+        let query_view = Arc::clone(&view);
+        let query_rect = Rect::new(vec![40.0, 55.0], vec![48.0, 63.0]);
+        group.bench("query_uncached", move || {
+            query_index.query(&query_view, black_box(&query_rect))
         });
         let options = ExpOptions {
             rows: n,

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aide_data::NumericView;
-use aide_index::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
+use aide_index::{Exclusions, ExtractionEngine, ExtractionStats, IndexKind, Sample};
 use aide_ml::{DecisionTree, IncrementalTree, RefitOutcome};
 use aide_query::Selection;
 use aide_util::geom::Rect;
@@ -218,6 +218,10 @@ pub struct ExplorationSession {
     pending: Option<PendingBatch>,
     ground_truth: Option<TargetQuery>,
     labeled: LabeledSet,
+    /// The labeled rows keyed for the engine's index: what every
+    /// selection skips. Kept in step with `labeled`, which only grows
+    /// between rounds, by merging each round's new rows.
+    excluded: Exclusions,
     tree: Option<DecisionTree>,
     /// Incremental CART state: owns a copy of the training rows fitted
     /// so far, so each retrain absorbs only the labels appended since
@@ -339,6 +343,7 @@ impl ExplorationSession {
             pending: None,
             ground_truth,
             labeled: LabeledSet::new(dims),
+            excluded: Exclusions::none(),
             tree: None,
             fitter: None,
             misclass_state: MisclassState::default(),
@@ -440,6 +445,9 @@ impl ExplorationSession {
         );
         self.labeled = labels;
         self.labeled.bind_view(self.engine.view());
+        self.excluded = self
+            .engine
+            .exclusions(self.labeled.view_indices().iter().copied());
         self.fitter = None;
         if self.labeled.has_both_classes() {
             self.refit_tree();
@@ -538,9 +546,7 @@ impl ExplorationSession {
         let mut proposals: Vec<(Sample, Option<u64>, Phase)> = Vec::with_capacity(budget);
         // Labels only change in `complete_iteration`, so every phase of
         // this round skips the same rows.
-        let excluded = self
-            .engine
-            .exclusions(self.labeled.view_indices().iter().copied());
+        let excluded = &self.excluded;
         let select_us = |engine: &ExtractionEngine, before: Duration| {
             (engine.stats().select - before).as_micros() as u64
         };
@@ -584,7 +590,7 @@ impl ExplorationSession {
                     &regions,
                     misclass_budget,
                     &mut self.engine,
-                    &excluded,
+                    excluded,
                     &mut self.rng,
                     &mut self.misclass_state,
                 );
@@ -622,7 +628,7 @@ impl ExplorationSession {
                     &self.prev_slabs,
                     remaining,
                     &mut self.engine,
-                    &excluded,
+                    excluded,
                     &mut self.rng,
                 );
                 let taken = out.samples.len();
@@ -646,7 +652,7 @@ impl ExplorationSession {
             let select_before = self.engine.stats().select;
             let disc =
                 self.discovery
-                    .propose(remaining, &mut self.engine, &excluded, &mut self.rng);
+                    .propose(remaining, &mut self.engine, excluded, &mut self.rng);
             let discovery_queries = self.engine.stats().queries - queries_before;
             let taken = disc.len();
             proposals.extend(
@@ -704,10 +710,12 @@ impl ExplorationSession {
 
         // --- The user reviewed and labeled the new samples ---------------
         let mut counts = [0usize; 3];
+        let mut added = Vec::with_capacity(proposals.len());
         for ((sample, token, phase), &label) in proposals.into_iter().zip(labels) {
             if !self.labeled.push(&sample, label) {
                 continue; // duplicate within this iteration's areas
             }
+            added.push(sample.view_index);
             counts[phase as usize] += 1;
             if phase == Phase::Discovery {
                 if label {
@@ -719,6 +727,7 @@ impl ExplorationSession {
             }
         }
         let new_samples = counts.iter().sum::<usize>();
+        self.excluded.merge(self.engine.exclusions(added));
 
         // --- Retrain the classifier on all labels ------------------------
         let mut model_fit = Duration::from_micros(misclass_fit_us);
@@ -1320,6 +1329,38 @@ mod tests {
             oracle_driven.predicted_selection("t").to_sql(),
             wire_driven.predicted_selection("t").to_sql()
         );
+    }
+
+    #[test]
+    fn exclusions_stay_the_labeled_rows_keyed_afresh() {
+        let keyed = |s: &ExplorationSession| {
+            s.engine
+                .exclusions(s.labeled.view_indices().iter().copied())
+        };
+        let view = uniform_view(10_000, 2, 31);
+        let mut s = ExplorationSession::from_view(
+            SessionConfig::default(),
+            view.clone(),
+            single_area_target(),
+            32,
+        );
+        assert!(s.excluded.is_empty());
+        for _ in 0..6 {
+            s.run_iteration();
+            assert_eq!(s.excluded, keyed(&s));
+            assert_eq!(s.excluded.len(), s.labeled().len());
+        }
+        // A warm start keys the seeded labels, and later rounds merge
+        // into them.
+        let mut resumed =
+            ExplorationSession::from_view(SessionConfig::default(), view, single_area_target(), 33);
+        resumed.seed_labels(s.labeled().clone());
+        assert_eq!(resumed.excluded, keyed(&resumed));
+        assert_eq!(resumed.excluded.len(), s.labeled().len());
+        for _ in 0..2 {
+            resumed.run_iteration();
+            assert_eq!(resumed.excluded, keyed(&resumed));
+        }
     }
 
     #[test]

@@ -271,7 +271,7 @@ mod tests {
 
     fn query_out(n: usize) -> Arc<QueryOutput> {
         let mut b = OutputBuilder::new(None);
-        b.push_full(0, 0, n);
+        b.push_full(0, n);
         Arc::new(b.finish(n * 3))
     }
 

@@ -22,12 +22,12 @@
 //!   are bit-identical for any `AIDE_THREADS`.
 //!
 //! Selection skips the session's labeled rows, passed as an
-//! [`Exclusions`] built once per round by
-//! [`ExtractionEngine::exclusions`]. Removing them from a result costs
-//! O(|labels| · log) and never copies the result, and the draw
-//! ([`Rng::sample_indices`]) takes one random number per sample, so
-//! selecting `n` rows costs O(|labels| · log + n · log) whatever the
-//! result's size.
+//! [`Exclusions`] keyed by [`ExtractionEngine::exclusions`] (a session
+//! keys each label once and merges each round's new ones in).
+//! Removing them from a result costs O(|labels| · log) and never copies
+//! the result, and the draw ([`Rng::sample_indices`]) takes one random
+//! number per sample, so selecting `n` rows costs
+//! O(|labels| · log + n · log) whatever the result's size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -372,9 +372,11 @@ impl ExtractionEngine {
         self.count_in(rect) as f64 / self.view.len() as f64
     }
 
-    /// Keys `view_indices` (typically the session's labeled rows) for
-    /// selection on this engine and its forks. Indices outside the view
-    /// are dropped. Costs O(k log k) for k indices.
+    /// Keys `view_indices` (typically the session's labeled rows) by
+    /// slot for selection on this engine and its forks. Indices outside
+    /// the view are dropped. Costs a search in each index's cell plus a
+    /// sort: O(k log k) for k indices. [`Exclusions::merge`] adds more
+    /// rows to a keyed set.
     pub fn exclusions(&self, view_indices: impl IntoIterator<Item = u32>) -> Exclusions {
         Exclusions::new(&*self.index, &self.view, view_indices, self.index_id())
     }

@@ -3,12 +3,13 @@
 //! A session never shows the user a row it has already labeled, so every
 //! selection removes the labeled rows E from a query result before it
 //! draws. E holds tens to a few thousand rows; a result over a 10M-row
-//! view holds up to millions. [`Exclusions`] keeps E sorted in the order
-//! rows appear in any [`QueryOutput`] — by ([`RegionIndex::run_key`],
-//! view index) — so the raw positions of E ∩ result come out of one walk
-//! over E with a binary search in the matching run's rows, then a bit
-//! test and a rank in its mask: O(|E| · log) per result, whatever the
-//! result's size.
+//! view holds up to millions. [`Exclusions`] keeps E as ascending *slots*
+//! ([`RegionIndex::run_key`]: a row's index in the access path's row
+//! order), the order in which rows appear in any [`QueryOutput`]. So the
+//! raw positions of E ∩ result come out of one walk over E with a cursor
+//! over the result's runs; in a run, a slot's position is its offset in
+//! the run, or a bit test and a rank in the run's mask: O(|E| · log) per
+//! result, whatever the result's size.
 
 use aide_data::NumericView;
 
@@ -26,9 +27,9 @@ use crate::{QueryOutput, RegionIndex};
 /// stored view keeps the ids of the view it was written from).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Exclusions {
-    /// `(run key, view index)`, sorted and deduplicated.
-    keyed: Vec<(u32, u32)>,
-    /// Identity of the index the keys were computed with (0 when empty).
+    /// The excluded rows' slots, ascending and distinct.
+    slots: Vec<u32>,
+    /// Identity of the index the slots were computed with (0 when empty).
     owner: usize,
 }
 
@@ -46,28 +47,64 @@ impl Exclusions {
         view_indices: impl IntoIterator<Item = u32>,
         owner: usize,
     ) -> Self {
-        let mut keyed: Vec<(u32, u32)> = view_indices
+        let mut slots: Vec<u32> = view_indices
             .into_iter()
             .filter(|&i| (i as usize) < view.len())
-            .map(|i| (index.run_key(view, i), i))
+            .map(|i| index.run_key(view, i))
             .collect();
-        keyed.sort_unstable();
-        keyed.dedup();
-        let owner = if keyed.is_empty() { 0 } else { owner };
-        Self { keyed, owner }
+        slots.sort_unstable();
+        slots.dedup();
+        let owner = if slots.is_empty() { 0 } else { owner };
+        Self { slots, owner }
+    }
+
+    /// Adds every row of `more` to this set, in one merge of the two
+    /// ascending slot lists: the set is the one that keying both sets'
+    /// view indices at once would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both sets are non-empty and were keyed for different
+    /// indexes.
+    pub fn merge(&mut self, more: Exclusions) {
+        if more.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = more;
+            return;
+        }
+        assert_eq!(
+            self.owner, more.owner,
+            "exclusions were keyed for different indexes"
+        );
+        let mut merged = Vec::with_capacity(self.slots.len() + more.slots.len());
+        let (mut a, mut b) = (self.slots.iter().peekable(), more.slots.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+            merged.push(x.min(y));
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+        }
+        merged.extend(a);
+        merged.extend(b);
+        self.slots = merged;
     }
 
     /// Number of excluded view indices.
     pub fn len(&self) -> usize {
-        self.keyed.len()
+        self.slots.len()
     }
 
     /// Whether nothing is excluded.
     pub fn is_empty(&self) -> bool {
-        self.keyed.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Identity of the index the keys belong to (0 for the empty set).
+    /// Identity of the index the slots belong to (0 for the empty set).
     pub(crate) fn owner(&self) -> usize {
         self.owner
     }
@@ -75,27 +112,24 @@ impl Exclusions {
     /// Calls `hit(p)` for each raw position `p` of `out` that holds an
     /// excluded view index, in ascending `p`.
     fn for_each_hit(&self, out: &QueryOutput, mut hit: impl FnMut(usize)) {
-        if self.keyed.is_empty() {
+        if self.slots.is_empty() {
             // A session's first round: nothing is labeled, and the
-            // output's keys need not be read.
+            // output's runs need not be read.
             return;
         }
-        let keys = out.keys();
-        let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
-            return;
-        };
-        let from = self.keyed.partition_point(|&(k, _)| k < first);
+        let span = out.slots();
+        let from = self.slots.partition_point(|&s| (s as usize) < span.start);
         let mut r = 0;
-        for &(key, i) in &self.keyed[from..] {
-            if key > last {
+        for &slot in &self.slots[from..] {
+            let slot = slot as usize;
+            if slot >= span.end {
                 break;
             }
-            // Runs and entries both ascend by key: the cursor only moves on.
-            r += keys[r..].partition_point(|&k| k < key);
-            if keys[r] == key {
-                if let Some(p) = out.position(r, i) {
-                    hit(p);
-                }
+            // Runs and slots both ascend: the cursor only moves on, and
+            // the last run ends at `span.end`, so it stays on a run.
+            r = out.run_after(r, slot);
+            if let Some(p) = out.position(r, slot) {
+                hit(p);
             }
         }
     }
@@ -150,33 +184,66 @@ mod tests {
     }
 
     #[test]
-    fn hits_follow_runs_and_ignore_other_keys() {
-        // Cells 3 → rows [4, 9] (full), 5 → [1, 2, 8] with 2 cut away,
-        // 9 → [0] (full); the output is [4, 9, 1, 8, 0].
-        let mut b = OutputBuilder::new(Some(Arc::from(vec![4, 9, 1, 2, 8, 0])));
-        b.push_full(3, 0, 2);
-        b.push_masked(5, 2, 3, |m| m.push(0b101));
-        b.push_full(9, 5, 1);
+    fn hits_follow_runs_and_ignore_other_slots() {
+        // Cells own slots 0..2 → rows [4, 9] (full), 2..5 → [1, 2, 8] with
+        // slot 3 (row 2) cut away, 5..6 → [0] (full), 8..10 → [5, 6]
+        // (full); slots 6..8 belong to cells the rectangle misses. The
+        // output is [4, 9, 1, 8, 0, 5, 6].
+        let mut b = OutputBuilder::new(Some(Arc::from(vec![4, 9, 1, 2, 8, 0, 3, 7, 5, 6])));
+        b.push_full(0, 2);
+        b.push_masked(2, 3, |m| m.push(0b101));
+        b.push_full(5, 1);
+        b.push_full(8, 2);
         let out = b.finish(0);
         let set = Exclusions {
-            // (4, 1): key absent from the output; (5, 7): not a row of
-            // its cell; (5, 2): a row of its cell the mask cuts away.
-            keyed: vec![
-                (0, 6),
-                (3, 9),
-                (4, 1),
-                (5, 2),
-                (5, 7),
-                (5, 8),
-                (9, 0),
-                (12, 3),
-            ],
+            // 3: a slot of a cut cell the mask cuts away; 6 and 7: slots
+            // between runs; 12: past the last run.
+            slots: vec![1, 3, 4, 5, 6, 7, 9, 12],
             owner: 1,
         };
-        assert_eq!(set.hits(&out), vec![1, 3, 4]);
-        assert_eq!(set.count_hits(&out), 3);
+        assert_eq!(set.hits(&out), vec![1, 3, 4, 6]);
+        assert_eq!(set.count_hits(&out), 4);
         let empty = OutputBuilder::new(None).finish(0);
         assert!(set.hits(&empty).is_empty());
         assert!(Exclusions::none().hits(&out).is_empty());
+        // Slots before the first run are skipped by the first search.
+        let mut b = OutputBuilder::new(Some(Arc::from(vec![4, 9, 1, 2, 8, 0, 3, 7, 5, 6])));
+        b.push_full(8, 2);
+        assert_eq!(set.hits(&b.finish(0)), vec![1]);
+    }
+
+    #[test]
+    fn merge_equals_keying_both_at_once() {
+        let keyed = |slots: &[u32]| Exclusions {
+            slots: slots.to_vec(),
+            owner: if slots.is_empty() { 0 } else { 7 },
+        };
+        for (a, b) in [
+            (vec![], vec![]),
+            (vec![], vec![3, 5]),
+            (vec![3, 5], vec![]),
+            (vec![1, 4, 9], vec![0, 4, 10, 11]),
+            (vec![2, 3], vec![2, 3]),
+        ] {
+            let mut want: Vec<u32> = a.iter().chain(&b).copied().collect();
+            want.sort_unstable();
+            want.dedup();
+            let mut set = keyed(&a);
+            set.merge(keyed(&b));
+            assert_eq!(set, keyed(&want), "{a:?} + {b:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different indexes")]
+    fn merge_refuses_another_index() {
+        let mut set = Exclusions {
+            slots: vec![1],
+            owner: 1,
+        };
+        set.merge(Exclusions {
+            slots: vec![2],
+            owner: 2,
+        });
     }
 }

@@ -44,19 +44,24 @@ impl GridIndex {
     /// indexes (the paper explores up to 5-D) from exploding.
     const MAX_CELLS: usize = 1 << 20;
 
-    /// Points per parallel chunk of the cell-id mapping pass.
+    /// Points per chunk of the cell-id pass: each lane's slice of a
+    /// chunk is read while the chunk's ids stay in cache.
     const BUILD_CHUNK: usize = 8_192;
 
-    /// Builds a grid index with a heuristically chosen resolution:
-    /// roughly `n^(1/d)` buckets per dimension, clamped to `[2, 64]` and
-    /// to the total-cell cap. Uses the ambient pool ([`Pool::from_env`]).
+    /// Rows per cell the heuristic resolution aims at on large views.
+    const ROWS_PER_CELL: usize = 64;
+
+    /// Builds a grid index with a heuristically chosen resolution (see
+    /// [`GridIndex::heuristic_resolution`]). Uses the ambient pool
+    /// ([`Pool::from_env`]).
     pub fn build(view: &NumericView) -> Self {
         Self::build_with(view, &Pool::from_env(0))
     }
 
     /// [`GridIndex::build`] over an explicit worker pool. The index is
     /// identical for any thread count: the parallel pass only computes
-    /// cell ids, and the scatter into cells stays in view order.
+    /// and counts cell ids, and the scatter into cells stays in view
+    /// order.
     pub fn build_with(view: &NumericView, pool: &Pool) -> Self {
         Self::with_resolution_in(
             view,
@@ -66,13 +71,31 @@ impl GridIndex {
     }
 
     /// The per-dimension resolution [`GridIndex::build`] picks for a view
-    /// of `len` points in `dims` dimensions: roughly `len^(1/dims)`
-    /// buckets, clamped to `[2, 64]` (the total-cell cap is applied later
-    /// and depends only on `dims`).
-    fn heuristic_resolution(len: usize, dims: usize) -> usize {
+    /// of `len` points in `dims` dimensions, the larger of two:
+    ///
+    /// * roughly `len^(1/dims)` buckets, clamped to `[2, 64]`;
+    /// * the largest power of two `p` whose `p^dims` cells hold at least
+    ///   [`GridIndex::ROWS_PER_CELL`] rows each on average and fit under
+    ///   [`GridIndex::MAX_CELLS`].
+    ///
+    /// The first rules up to about a million rows in 2-D, the second
+    /// beyond (128² from 2²⁰ rows, 256² from 2²² rows, so about 153 rows
+    /// per cell at 10M). A power of two keeps every edge of a coarser
+    /// power-of-two grid on a cell edge. In 3–5 dimensions the cap keeps
+    /// the second at or below 64, so the first rules there. The
+    /// total-cell cap on the first is applied later and depends only on
+    /// `dims`.
+    pub(crate) fn heuristic_resolution(len: usize, dims: usize) -> usize {
+        let dims = dims.max(1);
         let n = len.max(1) as f64;
-        let target = n.powf(1.0 / dims.max(1) as f64).ceil() as usize;
-        target.clamp(2, 64)
+        let target = n.powf(1.0 / dims as f64).ceil() as usize;
+        let mut p = 1;
+        while total_cells(2 * p, dims) <= Self::MAX_CELLS
+            && total_cells(2 * p, dims).saturating_mul(Self::ROWS_PER_CELL) <= len
+        {
+            p *= 2;
+        }
+        target.clamp(2, 64).max(p)
     }
 
     /// Builds a grid index with an explicit per-dimension resolution.
@@ -84,8 +107,9 @@ impl GridIndex {
         Self::with_resolution_in(view, resolution, &Pool::serial())
     }
 
-    /// The CSR build: a (parallel) cell-id pass, one counting pass, a
-    /// prefix sum and a scatter in view order.
+    /// The CSR build, with cell ids stored as `u16` when every id fits
+    /// (up to 256² cells in 2-D), which halves the largest buffer the
+    /// build holds besides `rows`.
     fn with_resolution_in(view: &NumericView, resolution: usize, pool: &Pool) -> Self {
         assert!(resolution >= 1, "grid resolution must be at least 1");
         let dims = view.dims();
@@ -93,37 +117,90 @@ impl GridIndex {
         while resolution > 1 && total_cells(resolution, dims) > Self::MAX_CELLS {
             resolution -= 1;
         }
-        let ids: Vec<u32> = pool.par_map_collect(view.len(), Self::BUILD_CHUNK, |range| {
-            range
-                .map(|i| Self::cell_of(view, i, resolution) as u32)
-                .collect()
-        });
-        let cells = total_cells(resolution, dims);
-        let mut offsets = vec![0u32; cells + 1];
-        for &c in &ids {
-            offsets[c as usize + 1] += 1;
+        let (rows, offsets) = if total_cells(resolution, dims) <= 1 << 16 {
+            Self::csr::<u16>(view, resolution, pool)
+        } else {
+            Self::csr::<u32>(view, resolution, pool)
+        };
+        Self {
+            dims,
+            resolution,
+            rows,
+            nonempty: offsets.windows(2).filter(|w| w[0] < w[1]).count(),
+            offsets,
         }
-        let nonempty = offsets.iter().filter(|&&n| n > 0).count();
+    }
+
+    /// `rows` and `offsets`: a parallel pass that maps each part of the
+    /// view to cell ids and counts them, a prefix sum over the summed
+    /// counts, and a scatter in view order.
+    fn csr<Id: CellId>(
+        view: &NumericView,
+        resolution: usize,
+        pool: &Pool,
+    ) -> (Arc<[u32]>, Vec<u32>) {
+        let cells = total_cells(resolution, view.dims());
+        let n = view.len();
+        // One part per worker, and none smaller than its cell counts.
+        let part = n.div_ceil(pool.threads()).max(Self::BUILD_CHUNK).max(cells);
+        let parts: Vec<(Vec<Id>, Vec<u32>)> = pool.par_map_reduce(
+            n,
+            part,
+            |range| Self::cell_ids(view, range, resolution, cells),
+            Vec::new(),
+            |mut parts, part| {
+                parts.push(part);
+                parts
+            },
+        );
+        let (ids, counts): (Vec<Vec<Id>>, Vec<Vec<u32>>) = parts.into_iter().unzip();
+        let mut offsets = vec![0u32; cells + 1];
+        for counts in counts {
+            for (total, count) in offsets[1..].iter_mut().zip(counts) {
+                *total += count;
+            }
+        }
         for c in 0..cells {
             offsets[c + 1] += offsets[c];
         }
         let mut cursor = offsets[..cells].to_vec();
         // Built in its `Arc` (an exact-size iterator collects in place;
         // `Arc::from(Vec)` would copy the whole array).
-        let mut rows: Arc<[u32]> = std::iter::repeat_n(0, ids.len()).collect();
+        let mut rows: Arc<[u32]> = std::iter::repeat_n(0, n).collect();
         let slots = Arc::get_mut(&mut rows).expect("a fresh Arc is unique");
-        for (i, &c) in ids.iter().enumerate() {
-            let slot = &mut cursor[c as usize];
+        for (i, &c) in ids.iter().flatten().enumerate() {
+            let slot = &mut cursor[c.index()];
             slots[*slot as usize] = i as u32;
             *slot += 1;
         }
-        Self {
-            dims,
-            resolution,
-            rows,
-            offsets,
-            nonempty,
+        (rows, offsets)
+    }
+
+    /// The flat cell ids of the points in `range`, and how many of them
+    /// fall in each of the `cells` cells. Ids are built lane by lane, one
+    /// chunk at a time: a multiply-add per point per lane over
+    /// contiguous coordinates, the same fold as [`GridIndex::cell_of`].
+    fn cell_ids<Id: CellId>(
+        view: &NumericView,
+        range: Range<usize>,
+        resolution: usize,
+        cells: usize,
+    ) -> (Vec<Id>, Vec<u32>) {
+        let mut ids = vec![Id::default(); range.len()];
+        let mut counts = vec![0u32; cells];
+        for (k, chunk) in ids.chunks_mut(Self::BUILD_CHUNK).enumerate() {
+            let start = range.start + k * Self::BUILD_CHUNK;
+            for d in 0..view.dims() {
+                let lane = &view.lane(d)[start..start + chunk.len()];
+                for (id, &x) in chunk.iter_mut().zip(lane) {
+                    *id = Id::new(id.index() * resolution + bucket(x, resolution));
+                }
+            }
+            for &c in chunk.iter() {
+                counts[c.index()] += 1;
+            }
         }
+        (ids, counts)
     }
 
     /// Per-dimension resolution actually used.
@@ -206,23 +283,52 @@ pub(crate) fn bucket(x: f64, resolution: usize) -> usize {
     ((x / 100.0 * resolution as f64) as usize).min(resolution - 1)
 }
 
+/// A flat cell id as the grid build stores it.
+trait CellId: Copy + Default + Send {
+    /// Narrows `id`, which the caller has checked fits.
+    fn new(id: usize) -> Self;
+    fn index(self) -> usize;
+}
+
+impl CellId for u16 {
+    fn new(id: usize) -> Self {
+        debug_assert!(id <= u16::MAX as usize, "cell id {id} past u16");
+        id as u16
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl CellId for u32 {
+    fn new(id: usize) -> Self {
+        id as u32
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 fn total_cells(resolution: usize, dims: usize) -> usize {
     resolution.saturating_pow(dims as u32)
 }
 
 impl RegionIndex for GridIndex {
-    /// One run per overlapping non-empty cell: a full cell by reference,
-    /// a cut cell as one mask bit per row.
+    /// One run per overlapping non-empty cell, a full cell by reference
+    /// and a cut cell as one mask bit per row; full cells whose slices
+    /// touch share a run.
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
         let mut out = OutputBuilder::new(Some(Arc::clone(&self.rows)));
         let mut examined = 0usize;
         self.for_each_cell(rect, |cell, rows, full| {
             let from = self.offsets[cell] as usize;
             if full {
-                out.push_full(cell as u32, from, rows.len());
+                out.push_full(from, rows.len());
             } else {
                 examined += rows.len();
-                out.push_masked(cell as u32, from, rows.len(), |masks| {
+                out.push_masked(from, rows.len(), |masks| {
                     view.mask_indices_into(rect, rows, masks)
                 });
             }
@@ -244,8 +350,10 @@ impl RegionIndex for GridIndex {
         CountOutput { count, examined }
     }
 
+    /// The start of the cell's slice plus `i`'s place in it.
     fn run_key(&self, view: &NumericView, i: u32) -> u32 {
-        Self::cell_of(view, i as usize, self.resolution) as u32
+        let cell = Self::cell_of(view, i as usize, self.resolution);
+        self.offsets[cell] + self.cell(cell).partition_point(|&j| j < i) as u32
     }
 
     fn block_count(&self, _view: &NumericView) -> usize {
@@ -306,7 +414,10 @@ impl RegionIndex for GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Exclusions;
     use aide_data::view::{Domain, SpaceMapper};
+    use aide_testkit::prop::gen;
+    use aide_testkit::{forall, prop_assert, prop_assert_eq};
     use aide_util::rng::{Rng, Xoshiro256pp};
 
     fn uniform_view(n: usize, dims: usize, seed: u64) -> NumericView {
@@ -428,7 +539,24 @@ mod tests {
     }
 
     #[test]
-    fn runs_ascend_and_hold_their_cells_members() {
+    fn wide_cell_ids_build_the_same_cells() {
+        // 64³ cells need `u32` ids; 40³ fit in `u16`.
+        let view = uniform_view(30_000, 3, 11);
+        for (resolution, threads) in [(64, 1), (64, 3), (40, 1), (40, 3)] {
+            let idx = GridIndex::with_resolution_in(&view, resolution, &Pool::new(threads));
+            let mut naive = vec![Vec::new(); total_cells(resolution, 3)];
+            for i in 0..view.len() {
+                naive[GridIndex::cell_of(&view, i, resolution)].push(i as u32);
+            }
+            for (c, want) in naive.iter().enumerate() {
+                assert_eq!(idx.cell(c), &want[..], "cell {c} at {resolution}³");
+            }
+            assert_eq!(idx.nonempty, naive.iter().filter(|c| !c.is_empty()).count());
+        }
+    }
+
+    #[test]
+    fn runs_are_strips_over_ascending_slots() {
         let view = uniform_view(5_000, 2, 8);
         let idx = GridIndex::with_resolution(&view, 16);
         for rect in [
@@ -436,23 +564,97 @@ mod tests {
             Rect::new(vec![10.0, 20.0], vec![31.25, 60.0]),
             Rect::new(vec![12.5, 12.5], vec![12.5, 100.0]),
             Rect::new(vec![99.9, 0.0], vec![100.0, 0.1]),
+            Rect::new(vec![12.5, 0.0], vec![50.0, 100.0]),
         ] {
             let out = idx.query(&view, &rect);
-            let keys = out.keys();
-            assert!(keys.windows(2).all(|w| w[0] < w[1]));
-            // Positions ascend by (cell, view index), and each member is
-            // found at its position in the run of its cell.
-            let keyed: Vec<(u32, u32)> = out
-                .to_vec()
-                .into_iter()
-                .map(|i| (idx.run_key(&view, i), i))
+            let slices = out.run_slices();
+            assert!(slices.windows(2).all(|w| w[0].0.end <= w[1].0.start));
+            assert!(
+                slices
+                    .windows(2)
+                    .all(|w| !(w[0].1 && w[1].1 && w[0].0.end == w[1].0.start)),
+                "touching full runs are one strip: {slices:?}"
+            );
+            // Positions ascend by slot, which is (cell, view index), and
+            // each member is found at its position by its slot.
+            let members = out.to_vec();
+            let slots: Vec<usize> = members
+                .iter()
+                .map(|&i| idx.run_key(&view, i) as usize)
                 .collect();
-            assert!(keyed.windows(2).all(|w| w[0] < w[1]));
-            for (p, &(cell, i)) in keyed.iter().enumerate() {
-                let r = keys.partition_point(|&k| k < cell);
-                assert_eq!(keys[r], cell);
-                assert_eq!(out.position(r, i), Some(p));
+            assert!(slots.windows(2).all(|w| w[0] < w[1]));
+            let mut r = 0;
+            for (p, (&slot, &i)) in slots.iter().zip(&members).enumerate() {
+                let cell = GridIndex::cell_of(&view, i as usize, 16);
+                assert_eq!(idx.rows[slot], i);
+                assert!(
+                    idx.offsets[cell] as usize <= slot && slot < idx.offsets[cell + 1] as usize
+                );
+                r = out.run_after(r, slot);
+                assert_eq!(out.position(r, slot), Some(p));
                 assert_eq!(out.get(p), i);
+            }
+        }
+        // Every cell is full on the whole domain, and the cells' slices
+        // tile the rows: one strip.
+        let out = idx.query(&view, &Rect::full_domain(2));
+        assert_eq!(out.run_slices(), vec![(0..5_000, true)]);
+        // Consecutive whole bucket rows (buckets 2..8 of the first
+        // dimension) tile one stretch of the rows: one strip.
+        let out = idx.query(&view, &Rect::new(vec![12.5, 0.0], vec![50.0, 100.0]));
+        assert_eq!(out.run_slices().len(), 1);
+        // Half bucket rows (buckets 0..8 of the second dimension) are six
+        // strips, one per bucket of the first dimension.
+        let out = idx.query(&view, &Rect::new(vec![12.5, 0.0], vec![50.0, 50.0]));
+        assert_eq!(out.run_slices().len(), 6);
+        assert!(out.run_slices().iter().all(|(_, full)| *full));
+    }
+
+    #[test]
+    fn heuristic_resolution_follows_rows_per_cell() {
+        let clamp = |n: usize, dims: u32| {
+            ((n.max(1) as f64).powf(1.0 / dims as f64).ceil() as usize).clamp(2, 64)
+        };
+        for (n, want) in [
+            (0, 2),
+            (4_096, 64),
+            (30_000, 64),
+            (262_144, 64),
+            (1_000_000, 64),
+            (1_048_575, 64),
+            (1_048_576, 128),
+            (4_194_303, 128),
+            (4_194_304, 256),
+            (10_000_000, 256),
+        ] {
+            assert_eq!(
+                GridIndex::heuristic_resolution(n, 2),
+                want,
+                "{n} rows in 2-D"
+            );
+        }
+        // 1-D grids change only from 8 192 rows up.
+        assert_eq!(GridIndex::heuristic_resolution(8_191, 1), 64);
+        assert_eq!(GridIndex::heuristic_resolution(8_192, 1), 128);
+        assert_eq!(GridIndex::heuristic_resolution(usize::MAX, 1), 1 << 20);
+        // 3–5-D grids are the clamp's, at any size.
+        for dims in 3..=5u32 {
+            for n in [
+                0,
+                100,
+                8_000,
+                30_000,
+                1 << 20,
+                10_000_000,
+                1 << 26,
+                1 << 30,
+                usize::MAX,
+            ] {
+                assert_eq!(
+                    GridIndex::heuristic_resolution(n, dims as usize),
+                    clamp(n, dims),
+                    "{n} rows in {dims}-D"
+                );
             }
         }
     }
@@ -497,6 +699,83 @@ mod tests {
         for threads in [2, 4] {
             let par = GridIndex::build_with(&view, &Pool::new(threads));
             assert_eq!(serial, par, "{threads} threads");
+        }
+    }
+
+    forall! {
+        cases = 64;
+
+        /// On fine grids, outputs are the cell-major filter and strips are
+        /// maximal: at resolutions 128 and 256, on points clustered in a
+        /// block of up to 8 × 8 cells (so that rectangles on cell edges
+        /// fill whole bucket rows of non-empty cells), `to_vec()` and
+        /// `get(p)` equal the matching view indices sorted by (cell, view
+        /// index), excluding a random subset of the view hits exactly the
+        /// reference's positions of it, and no two full runs touch.
+        fn fine_grids_answer_cell_major_in_maximal_strips(
+            raw in gen::vec_of(
+                (gen::usize_in(0..8), gen::usize_in(0..8), gen::f64_in(0.0..1.0), gen::f64_in(0.0..1.0)),
+                0..400,
+            ),
+            fine in gen::any_bool(),
+            base in gen::usize_in(0..120),
+            bounds in gen::vec_of((gen::usize_in(0..3), gen::usize_in(0..10), gen::f64_in(0.0..10.0)), 4..5),
+            pick in gen::any_u64(),
+        ) {
+            let resolution = if fine { 256 } else { 128 };
+            let w = 100.0 / resolution as f64;
+            let points: Vec<f64> = raw
+                .iter()
+                .flat_map(|&(cx, cy, fx, fy)| {
+                    [((base + cx) as f64 + fx) * w, ((base + cy) as f64 + fy) * w]
+                })
+                .collect();
+            let n = raw.len();
+            let mapper = SpaceMapper::new(
+                vec!["x".into(), "y".into()],
+                vec![Domain::new(0.0, 100.0); 2],
+            );
+            let view = NumericView::new(mapper, points, (0..n as u32).collect());
+            let idx = GridIndex::with_resolution(&view, resolution);
+            let v: Vec<f64> = bounds
+                .iter()
+                .map(|&(kind, k, value)| match kind {
+                    0 => (base + k) as f64 * w,
+                    1 => (base as f64 + value) * w,
+                    _ => value * 10.0,
+                })
+                .collect();
+            let rect = Rect::new(
+                vec![v[0].min(v[1]), v[2].min(v[3])],
+                vec![v[0].max(v[1]), v[2].max(v[3])],
+            );
+            let labeled: Vec<u32> = (0..n as u32)
+                .filter(|&i| (pick.rotate_left(i % 64) ^ u64::from(i)) % 3 == 0)
+                .collect();
+            let mut want: Vec<(usize, u32)> = view
+                .indices_in(&rect)
+                .into_iter()
+                .map(|i| (GridIndex::cell_of(&view, i, resolution), i as u32))
+                .collect();
+            want.sort_unstable();
+            let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+            let out = idx.query(&view, &rect);
+            prop_assert_eq!(&out.to_vec(), &want);
+            for (p, &i) in want.iter().enumerate() {
+                prop_assert_eq!(out.get(p), i, "get({})", p);
+            }
+            let excluded = Exclusions::new(&idx, &view, labeled.iter().copied(), 1);
+            let hits: Vec<u32> = (0..want.len() as u32)
+                .filter(|&p| labeled.contains(&want[p as usize]))
+                .collect();
+            prop_assert_eq!(excluded.hits(&out), hits);
+            let slices = out.run_slices();
+            prop_assert!(
+                slices
+                    .windows(2)
+                    .all(|w| !(w[0].1 && w[1].1 && w[0].0.end == w[1].0.start)),
+                "touching full runs: {:?}", slices
+            );
         }
     }
 }

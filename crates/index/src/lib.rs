@@ -16,11 +16,11 @@
 //!   per-session counters for extraction queries, tuples examined and
 //!   wall-clock time (the paper's "sample extraction time");
 //! * [`QueryOutput`] — a query's answer as runs over the rows the access
-//!   path already stores: full cells by reference, cut cells as bit
-//!   masks, so no answer copies row ids;
-//! * [`Exclusions`] — the session's labeled rows, keyed so that removing
-//!   them from a query result costs O(|labels| · log) rather than a pass
-//!   over the result;
+//!   path already stores: strips of full cells by reference, cut cells as
+//!   bit masks, so no answer copies row ids;
+//! * [`Exclusions`] — the session's labeled rows, keyed by their index in
+//!   the access path's row order so that removing them from a query
+//!   result costs O(|labels| · log) rather than a pass over the result;
 //! * [`Block`] — a set of rows plus what the access path knows of their
 //!   coordinates, the unit the F-measure evaluator counts by.
 
@@ -80,9 +80,10 @@ pub trait RegionIndex: Send + Sync {
         }
     }
 
-    /// The key of the [`QueryOutput`] run that view index `i` falls in,
-    /// should a query return it: the flat cell id for [`GridIndex`], `0`
-    /// for [`ScanIndex`].
+    /// The *slot* of view index `i`: its index in this access path's
+    /// row order, the order every [`QueryOutput`] lists its members in.
+    /// For [`GridIndex`] that is the start of `i`'s cell in the CSR rows
+    /// plus `i`'s place in the cell; for [`ScanIndex`] it is `i`.
     fn run_key(&self, view: &NumericView, i: u32) -> u32;
 
     /// Calls `visit` for the blocks at positions `span` of this access

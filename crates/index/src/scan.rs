@@ -30,7 +30,7 @@ impl RegionIndex for ScanIndex {
     /// columnar containment kernel.
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
         let mut out = OutputBuilder::new(None);
-        out.push_masked(0, 0, view.len(), |masks| {
+        out.push_masked(0, view.len(), |masks| {
             view.mask_rect_into(rect, 0, view.len(), masks)
         });
         out.finish(view.len())
@@ -43,8 +43,9 @@ impl RegionIndex for ScanIndex {
         }
     }
 
-    fn run_key(&self, _view: &NumericView, _i: u32) -> u32 {
-        0
+    /// The scan's row order is view order.
+    fn run_key(&self, _view: &NumericView, i: u32) -> u32 {
+        i
     }
 
     fn block_count(&self, view: &NumericView) -> usize {
@@ -85,7 +86,7 @@ mod tests {
         let view = NumericView::new(mapper, data, vec![0, 1, 2]);
         let out = ScanIndex::new().query(&view, &Rect::new(vec![0.0, 0.0], vec![60.0, 60.0]));
         assert_eq!(out.to_vec(), vec![0, 1]);
-        assert_eq!(out.keys(), [0]);
+        assert_eq!(out.run_slices(), vec![(0..3, false)]);
         assert_eq!(out.examined, 3);
     }
 }
