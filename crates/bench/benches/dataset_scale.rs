@@ -187,13 +187,13 @@ fn main() {
         drop(group);
 
         // Full-view F-measure at this scale as a session computes it:
-        // counted over the grid's cells, testing only the rows of cells a
-        // split or a target edge cuts (1-thread pool; compare with
-        // `full_eval_t1`, the per-row loop).
+        // grid counts of the tree's relevant leaf boxes and their
+        // intersections with the target's areas (1-thread pool; compare
+        // with `full_eval_t1`, the per-row loop).
         let mut group = h.group("dataset_scale/eval");
         let eval_view = Arc::clone(&view);
         let pool = Pool::serial();
-        group.bench(&format!("cells/{tag}"), move || {
+        group.bench(&format!("rects/{tag}"), move || {
             evaluate_model_indexed(
                 Some(black_box(&tree)),
                 &eval_view,

@@ -162,10 +162,10 @@ fn main() {
     }
     drop(group);
 
-    // --- F-measure from grid cells ---------------------------------------------
-    // `parallel/eval_200k/t1`'s evaluation as a session runs it: counted
-    // over the grid's cells, so only the rows of cells a tree split or a
-    // target edge cuts are tested. The guard outside the timer pins the
+    // --- F-measure from rectangle counts --------------------------------------
+    // `parallel/eval_200k/t1`'s evaluation as a session runs it: grid
+    // counts of the tree's relevant leaf boxes and of their intersections
+    // with the target's areas. The guard outside the timer pins the
     // matrix to the per-row one.
     let mut group = h.group("substrate/eval");
     let grid = GridIndex::build_with(&view, &Pool::from_env(0));
@@ -173,36 +173,58 @@ fn main() {
     assert_eq!(
         evaluate_model_indexed(Some(&tree), &view, &grid, &target, &serial),
         evaluate_model_with(Some(&tree), &view, &target, &serial),
-        "cell-counted matrix differs from the per-row one"
+        "rectangle-counted matrix differs from the per-row one"
     );
-    group.bench("cells_200k", || {
+    group.bench("rects_200k", || {
         evaluate_model_indexed(Some(black_box(&tree)), &view, &grid, &target, &serial)
     });
-    // The evaluators on 5-D views, where the heuristic grid holds only a
-    // few rows per non-empty cell: `cells_*` counts by the grid's cells,
-    // `rows_*` is the per-row loop. The SDSS-like view (about 5 rows per
-    // non-empty cell) is one a session counts by cells; the uniform one
-    // (about 1.5) is one it scans row by row, as the grid is slower there.
+    // The evaluators on 5- to 20-D views, where the heuristic grid holds
+    // a few rows per cell or fewer: `rects_*` counts rectangles over the
+    // grid, `rows_*` is the per-row loop. `random_tree` is a tree fitted
+    // to random labels, with over a hundred relevant leaves, the most
+    // boxes a count pays for. Sessions count boxes only on grids of at
+    // least 8 buckets per dimension (`GridIndex::counts_cheaply`); the
+    // 6-D view's grid has 8, the 7-D view's 6, the 12-D view's 3 and the
+    // 20-D view's 2, so these pairs sit on both sides of that line.
     let sdss_5d = multi_dim_view(&table, 5);
     let uniform_5d = uniform_lanes_view(200_000, 5, 7);
-    for (tag, view) in [("sdss", &sdss_5d), ("uniform", &uniform_5d)] {
+    let uniform_6d = uniform_lanes_view(200_000, 6, 7);
+    let uniform_7d = uniform_lanes_view(100_000, 7, 7);
+    let uniform_12d = uniform_lanes_view(50_000, 12, 7);
+    let uniform_20d = uniform_lanes_view(50_000, 20, 7);
+    let mut label_rng = Xoshiro256pp::seed_from_u64(17);
+    for (tag, view, random) in [
+        ("5d_sdss_200k", &sdss_5d, false),
+        ("5d_uniform_200k", &uniform_5d, false),
+        ("5d_random_tree_uniform_200k", &uniform_5d, true),
+        ("6d_random_tree_uniform_200k", &uniform_6d, true),
+        ("7d_random_tree_uniform_100k", &uniform_7d, true),
+        ("12d_uniform_50k", &uniform_12d, false),
+        ("20d_uniform_50k", &uniform_20d, false),
+    ] {
         let mut rng = Xoshiro256pp::seed_from_u64(13);
         let target = TargetQuery::generate(view, 1, SizeClass::Large, 2, &mut rng);
         let labels: Vec<bool> = (0..1_000)
-            .map(|i| target.contains(&view.point_vec(i)))
+            .map(|i| {
+                if random {
+                    label_rng.chance(0.5)
+                } else {
+                    target.contains(&view.point_vec(i))
+                }
+            })
             .collect();
         let data: Vec<f64> = (0..1_000).flat_map(|i| view.point_vec(i)).collect();
-        let tree = DecisionTree::fit(5, &data, &labels, &TreeParams::default());
+        let tree = DecisionTree::fit(view.dims(), &data, &labels, &TreeParams::default());
         let grid = GridIndex::build_with(view, &Pool::from_env(0));
         assert_eq!(
             evaluate_model_indexed(Some(&tree), view, &grid, &target, &serial),
             evaluate_model_with(Some(&tree), view, &target, &serial),
-            "cell-counted 5-D matrix differs from the per-row one"
+            "rectangle-counted {tag} matrix differs from the per-row one"
         );
-        group.bench(&format!("cells_5d_{tag}_200k"), || {
+        group.bench(&format!("rects_{tag}"), || {
             evaluate_model_indexed(Some(black_box(&tree)), view, &grid, &target, &serial)
         });
-        group.bench(&format!("rows_5d_{tag}_200k"), || {
+        group.bench(&format!("rows_{tag}"), || {
             evaluate_model_with(Some(black_box(&tree)), view, &target, &serial)
         });
     }

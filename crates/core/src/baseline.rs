@@ -25,7 +25,7 @@ use aide_util::geom::Rect;
 use aide_util::rng::Xoshiro256pp;
 
 use crate::config::{PhaseToggles, SessionConfig, StopCondition};
-use crate::eval::{eval_index, evaluate_model_indexed};
+use crate::eval::evaluate_session;
 use crate::labeled::LabeledSet;
 use crate::session::{IterationReport, SessionResult};
 use crate::target::{SimulatedUser, TargetQuery};
@@ -103,10 +103,10 @@ pub fn run_random(
         }
         let model_fit = fit_start.elapsed();
         if iteration % config.eval_every.max(1) == 0 || new_samples == 0 {
-            let m = evaluate_model_indexed(
+            let m = evaluate_session(
                 tree.as_ref(),
                 &eval_view,
-                eval_index(&engine, &eval_view),
+                &engine,
                 user.target(),
                 &engine.pool(),
             );
@@ -245,10 +245,10 @@ pub fn run_uncertainty(
         }
         let model_fit = fit_start.elapsed();
         if iteration.is_multiple_of(config.eval_every.max(1)) || new_samples == 0 {
-            let m = evaluate_model_indexed(
+            let m = evaluate_session(
                 tree.as_ref(),
                 &eval_view,
-                eval_index(&engine, &eval_view),
+                &engine,
                 user.target(),
                 &engine.pool(),
             );

@@ -7,26 +7,27 @@
 //!
 //! [`evaluate_model_with`] does exactly that, row by row, and stays as the
 //! reference. Sessions use [`evaluate_model_indexed`], which gets the same
-//! matrix from an access path's blocks: a grid cell that no tree split
-//! and no target edge cuts adds its row count to one of the four counts
-//! without reading a row, so only the rows of cut cells are tested.
+//! matrix from rectangle counts: Eq. 1 needs four integers, the tree's
+//! relevant leaves and the target's areas are disjoint boxes, and an
+//! access path counts a box without testing the rows of the cells inside
+//! it.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use aide_data::NumericView;
-use aide_index::{ExtractionEngine, RegionIndex, ScanIndex};
+use aide_index::{ExtractionEngine, RegionIndex};
 use aide_ml::{ConfusionMatrix, DecisionTree};
+use aide_util::geom::Rect;
 use aide_util::par::Pool;
 use aide_util::trace::{Tracer, Value};
 
 use crate::target::TargetQuery;
 
-/// Points per parallel work chunk (view rows for the per-row evaluator,
-/// block-order positions for the indexed one). Fixed (never derived from
-/// the thread count) so the decomposition — and thus the merged matrix —
-/// is identical on any machine; confusion counts are integers, so the
-/// merge is exact.
+/// View rows per parallel work chunk. Fixed (never derived from the
+/// thread count) so the decomposition — and thus the merged matrix — is
+/// identical on any machine; confusion counts are integers, so the merge
+/// is exact.
 const EVAL_CHUNK: usize = 4_096;
 
 /// Classifies every point of `view` with `model` (no model = everything
@@ -70,19 +71,24 @@ pub fn evaluate_model_with(
     )
 }
 
-/// The matrix of [`evaluate_model_with`], counted block by block over
+/// The matrix of [`evaluate_model_with`], from rectangle counts over
 /// `index`, which must have been built over `view`.
 ///
-/// A block whose rows all get one prediction
-/// ([`DecisionTree::block_label`]) and one truth value
-/// ([`TargetQuery::block_contains`]) adds its length to one count; only
-/// the rows of the other blocks are gathered and tested, and of those
-/// only the unknown half (prediction or truth) is computed per row. On a
-/// [`GridIndex`](aide_index::GridIndex) the cost is one tree walk per
-/// non-empty cell plus the rows of the cells a split or a target edge
-/// cuts; on a [`ScanIndex`] every comparison is unknown and this is the
-/// per-row loop. The counts are integers, so the result is identical to
-/// [`evaluate_model_with`] for any index and any thread count.
+/// The relevant leaves `L` of the tree ([`DecisionTree::leaf_boxes`])
+/// are disjoint boxes. When the target's areas `A` are pairwise disjoint
+/// too (closed areas that touch share a point, so they are not), then
+///
+/// * `TP + FP = Σ_L count(L)`;
+/// * `TP = Σ_L Σ_A count(L ∩ A)`;
+/// * `|T| = Σ_A count(A)`;
+/// * `FN = |T| − TP` and `TN = n − TP − FP − FN`.
+///
+/// Each count is `index`'s own [`RegionIndex::count`], so no engine
+/// statistic, cache entry or trace event moves. The boxes reproduce the
+/// split rule bit for bit and the counts are integers, so the result is
+/// identical to [`evaluate_model_with`] for any index and any thread
+/// count. Areas that share a point would count its rows twice; such a
+/// target is evaluated row by row.
 pub fn evaluate_model_indexed(
     model: Option<&DecisionTree>,
     view: &NumericView,
@@ -90,82 +96,89 @@ pub fn evaluate_model_indexed(
     target: &TargetQuery,
     pool: &Pool,
 ) -> ConfusionMatrix {
-    pool.par_map_reduce(
+    let areas = target.areas();
+    let disjoint = areas
+        .iter()
+        .enumerate()
+        .all(|(i, a)| areas[i + 1..].iter().all(|b| !a.intersects(b)));
+    if !disjoint {
+        return evaluate_model_with(model, view, target, pool);
+    }
+    // Every finite coordinate, so each row lies in some leaf's box.
+    let dims = view.dims();
+    let everything = Rect::new(vec![f64::MIN; dims], vec![f64::MAX; dims]);
+    let leaves = model.map_or_else(Vec::new, |tree| tree.leaf_boxes(true, &everything));
+    // Each box adds its count to one lane: predicted, both, actual.
+    let mut boxes: Vec<(Rect, usize)> = Vec::new();
+    for leaf in &leaves {
+        boxes.extend(areas.iter().filter_map(|a| Some((leaf.intersection(a)?, 1))));
+    }
+    boxes.extend(leaves.into_iter().map(|leaf| (leaf, 0)));
+    boxes.extend(areas.iter().map(|a| (a.clone(), 2)));
+    // The boxes are spread over the per-row loop's chunks of the view,
+    // chunk `c` of `C` taking boxes `c·B/C..(c + 1)·B/C`, so the pool's
+    // chunk counters (the trace's `pool` event) read the same on either
+    // path.
+    let chunks = view.len().div_ceil(EVAL_CHUNK);
+    let [predicted, tp, actual] = pool.par_map_reduce(
         view.len(),
         EVAL_CHUNK,
-        |span| {
-            let mut m = ConfusionMatrix::default();
-            let mut p = vec![0.0; view.dims()];
-            index.for_each_block(view, span, &mut |block| {
-                let compare = |d, t| block.compare(d, t);
-                let predicted = model.map_or(Some(false), |tree| tree.block_label(compare));
-                let actual = target.block_contains(compare);
-                if let (Some(predicted), Some(actual)) = (predicted, actual) {
-                    m.record_n(predicted, actual, block.len() as u64);
-                    return;
-                }
-                block.for_each_row(|i| {
-                    view.fill_point(i, &mut p);
-                    m.record(
-                        predicted.unwrap_or_else(|| model.is_some_and(|tree| tree.predict(&p))),
-                        actual.unwrap_or_else(|| target.contains(&p)),
-                    );
-                });
-            });
-            m
+        |rows| {
+            let c = rows.start / EVAL_CHUNK;
+            let mut lanes = [0u64; 3];
+            for (rect, lane) in &boxes[c * boxes.len() / chunks..(c + 1) * boxes.len() / chunks] {
+                lanes[*lane] += index.count(view, rect).count as u64;
+            }
+            lanes
         },
-        ConfusionMatrix::default(),
-        |mut acc, part| {
-            acc.merge(&part);
-            acc
-        },
-    )
-}
-
-/// Fewest rows per block at which counting by blocks pays. Each block
-/// costs a tree walk and a target test, about what a few rows cost, so
-/// a grid with fewer rows per non-empty cell is slower than the per-row
-/// loop. Measured on 200k-row views (1-thread pool): 5-D uniform at
-/// 1.5 rows per cell took 1.6–1.7× the per-row time, 3-D uniform at
-/// 2.2 took 0.7–0.9×, and the SDSS-like 3- to 5-D views at 4–5 took
-/// 0.5–1.0×; 2-D at 49 took 0.05–0.5×.
-const MIN_ROWS_PER_BLOCK: usize = 3;
-
-/// The access path an evaluation over `eval_view` counts by: the
-/// engine's own index when the engine samples that very view (every
-/// server, CLI and full-data session) and its blocks hold at least
-/// [`MIN_ROWS_PER_BLOCK`] rows on average, else a [`ScanIndex`] (a
-/// session sampling a replica, whose index covers other rows, or a grid
-/// too sparse to pay).
-pub(crate) fn eval_index<'a>(
-    engine: &'a ExtractionEngine,
-    eval_view: &Arc<NumericView>,
-) -> &'a dyn RegionIndex {
-    let index = engine.index();
-    if Arc::ptr_eq(&engine.view_arc(), eval_view)
-        && index.block_count(eval_view) * MIN_ROWS_PER_BLOCK <= eval_view.len()
-    {
-        index
-    } else {
-        &ScanIndex
+        [0u64; 3],
+        |acc, part| std::array::from_fn(|k| acc[k] + part[k]),
+    );
+    let (fp, fn_) = (predicted - tp, actual - tp);
+    ConfusionMatrix {
+        tp,
+        fp,
+        fn_,
+        tn: view.len() as u64 - tp - fp - fn_,
     }
 }
 
-/// [`evaluate_model_indexed`] plus an `eval` trace event: the full-view
+/// The matrix a session reports for `model` over `eval_view`: counted by
+/// [`evaluate_model_indexed`] over the engine's index when the engine
+/// samples that very view (every server, CLI and full-data session) and
+/// its index counts a box cheaply ([`RegionIndex::counts_cheaply`]: a
+/// grid of at least 8 buckets per dimension). Else row by row: a session
+/// sampling a replica has an index over other rows, a scan reads every
+/// row per box, and a coarse grid walks about a cell per row per box.
+pub(crate) fn evaluate_session(
+    model: Option<&DecisionTree>,
+    eval_view: &Arc<NumericView>,
+    engine: &ExtractionEngine,
+    target: &TargetQuery,
+    pool: &Pool,
+) -> ConfusionMatrix {
+    if Arc::ptr_eq(&engine.view_arc(), eval_view) && engine.index().counts_cheaply() {
+        evaluate_model_indexed(model, eval_view, engine.index(), target, pool)
+    } else {
+        evaluate_model_with(model, eval_view, target, pool)
+    }
+}
+
+/// [`evaluate_session`] plus an `eval` trace event: the full-view
 /// F-measure snapshot (F, precision, recall) together with the model's
 /// size (leaves, depth — 0/0 for the no-model case) and the evaluation
 /// wall-clock time. The returned matrix is identical to the untraced
 /// call; a disabled tracer adds one branch.
-pub fn evaluate_model_traced(
+pub(crate) fn evaluate_model_traced(
     model: Option<&DecisionTree>,
-    view: &NumericView,
-    index: &dyn RegionIndex,
+    eval_view: &Arc<NumericView>,
+    engine: &ExtractionEngine,
     target: &TargetQuery,
     pool: &Pool,
     tracer: &Tracer,
 ) -> ConfusionMatrix {
     let start = Instant::now();
-    let matrix = evaluate_model_indexed(model, view, index, target, pool);
+    let matrix = evaluate_session(model, eval_view, engine, target, pool);
     if tracer.is_enabled() {
         let (leaves, depth) = model.map_or((0, 0), |t| (t.num_leaves(), t.depth()));
         tracer.emit_scoped(
@@ -188,7 +201,7 @@ pub fn evaluate_model_traced(
 mod tests {
     use super::*;
     use aide_data::view::{Domain, SpaceMapper};
-    use aide_index::{GridIndex, IndexKind};
+    use aide_index::{GridIndex, IndexKind, ScanIndex};
     use aide_ml::TreeParams;
     use aide_util::geom::Rect;
     use aide_util::rng::{Rng, Xoshiro256pp};
@@ -258,32 +271,31 @@ mod tests {
     }
 
     #[test]
-    fn sessions_count_by_the_grid_only_when_its_cells_are_dense_enough() {
-        let uniform = |n: usize, dims: usize| {
-            let mut rng = Xoshiro256pp::seed_from_u64(5);
-            let mapper = SpaceMapper::new(
-                (0..dims).map(|d| format!("a{d}")).collect(),
-                vec![Domain::new(0.0, 100.0); dims],
-            );
-            let data: Vec<f64> = (0..n * dims).map(|_| rng.uniform(0.0, 100.0)).collect();
-            Arc::new(NumericView::new(mapper, data, (0..n as u32).collect()))
-        };
-        let chosen = |len, dims, engine_view_is_eval_view: bool| {
-            let v = uniform(len, dims);
-            let engine = ExtractionEngine::from_arc(Arc::clone(&v), IndexKind::Grid);
-            let eval_view = if engine_view_is_eval_view {
-                v
-            } else {
-                uniform(len, dims)
-            };
-            eval_index(&engine, &eval_view).name()
-        };
-        // 2-D: the heuristic grid caps at 64² cells, so 20k rows fill
-        // about five per cell.
-        assert_eq!(chosen(20_000, 2, true), "grid");
-        assert_eq!(chosen(20_000, 2, false), "scan");
-        // 5-D: about n cells, at most a row or two in each.
-        assert_eq!(chosen(20_000, 5, true), "scan");
+    fn sessions_match_the_oracle_on_replicas_scans_and_areas_that_share_points() {
+        let v = Arc::new(view(8_000, 6));
+        let replica = Arc::new(view(8_000, 6));
+        let square = |lo: f64, hi: f64| Rect::new(vec![lo, lo], vec![hi, hi]);
+        let labels: Vec<bool> = (0..1_000).map(|i| v.point_vec(i)[0] < 40.0).collect();
+        let data: Vec<f64> = (0..1_000).flat_map(|i| v.point_vec(i)).collect();
+        let tree = DecisionTree::fit(2, &data, &labels, &TreeParams::default());
+        for areas in [
+            vec![square(10.0, 30.0), square(50.0, 70.0)],
+            vec![square(10.0, 30.0), square(20.0, 40.0)],
+            vec![square(10.0, 30.0), square(30.0, 50.0)],
+        ] {
+            let target = TargetQuery::new(areas);
+            for kind in [IndexKind::Grid, IndexKind::Scan] {
+                let engine = ExtractionEngine::from_arc(Arc::clone(&v), kind);
+                assert_eq!(engine.index().counts_cheaply(), kind == IndexKind::Grid);
+                for eval_view in [&v, &replica] {
+                    let want =
+                        evaluate_model_with(Some(&tree), eval_view, &target, &Pool::serial());
+                    let got =
+                        evaluate_session(Some(&tree), eval_view, &engine, &target, &Pool::new(2));
+                    assert_eq!(got, want, "{kind:?}");
+                }
+            }
+        }
     }
 
     #[test]

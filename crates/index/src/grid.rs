@@ -20,7 +20,6 @@ use aide_data::NumericView;
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
 
-use crate::block::{Block, Cell};
 use crate::output::OutputBuilder;
 use crate::{CountOutput, QueryOutput, RegionIndex};
 
@@ -34,8 +33,6 @@ pub struct GridIndex {
     rows: Arc<[u32]>,
     /// `rows[offsets[c]..offsets[c + 1]]` is cell `c`'s slice.
     offsets: Vec<u32>,
-    /// Number of non-empty cells.
-    nonempty: usize,
 }
 
 impl GridIndex {
@@ -50,6 +47,10 @@ impl GridIndex {
 
     /// Rows per cell the heuristic resolution aims at on large views.
     const ROWS_PER_CELL: usize = 64;
+
+    /// Fewest buckets per dimension at which [`RegionIndex::count`] of a
+    /// box counts as cheap (see [`GridIndex::counts_cheaply`]).
+    const COUNTING_RESOLUTION: usize = 8;
 
     /// Builds a grid index with a heuristically chosen resolution (see
     /// [`GridIndex::heuristic_resolution`]). Uses the ambient pool
@@ -126,7 +127,6 @@ impl GridIndex {
             dims,
             resolution,
             rows,
-            nonempty: offsets.windows(2).filter(|w| w[0] < w[1]).count(),
             offsets,
         }
     }
@@ -226,15 +226,25 @@ impl GridIndex {
         (bucket(lo, self.resolution), bucket(hi, self.resolution))
     }
 
-    /// Calls `visit(cell, rows, full)` for every non-empty cell that
-    /// overlaps `rect`, in ascending flat cell id. `full` says the cell's
-    /// bounding box lies inside `rect`, so its rows need no point test.
+    /// Calls `visit(from, rows, full)` for the rows of every non-empty
+    /// cell that overlaps `rect`, in ascending flat cell id, where `rows`
+    /// is `self.rows[from..]`'s slice for that cell. `full` says every
+    /// point the cell can hold lies inside `rect`, so its rows need no
+    /// point test; touching full cells may come as one call.
     ///
     /// Whether a bucket lies inside `rect` is decided once per dimension
-    /// per query, from the bucket bounds `b·w` and `(b + 1)·w`.
+    /// per query. The float bounds `b·w` and `(b + 1)·w` alone can be
+    /// wrong by an ulp: `bucket(59.99999999999999, 5)` is 3 while
+    /// `3·20 = 60`. So a bucket must also pass an exact test from bucket
+    /// numbers. `bucket` never decreases as `x` grows, so if the
+    /// largest value below `lo` falls in a lower bucket than `b`, so does
+    /// every value below `lo`, and none of them is in `b`; likewise
+    /// above `hi`. The first and last buckets keep the float test alone:
+    /// coordinates lie in `[0, 100]`, the domain those ends close.
     fn for_each_cell(&self, rect: &Rect, mut visit: impl FnMut(usize, &[u32], bool)) {
         assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
-        let w = 100.0 / self.resolution as f64;
+        let r = self.resolution;
+        let w = 100.0 / r as f64;
         let ranges: Vec<(usize, usize)> = (0..self.dims)
             .map(|d| self.bucket_range(rect.lo(d), rect.hi(d)))
             .collect();
@@ -242,43 +252,81 @@ impl GridIndex {
         let inside: Vec<Vec<bool>> = ranges
             .iter()
             .enumerate()
-            .map(|(d, &(lo, hi))| {
-                (lo..=hi)
-                    .map(|b| b as f64 * w >= rect.lo(d) && (b + 1) as f64 * w <= rect.hi(d))
+            .map(|(d, &(first, last))| {
+                let (lo, hi) = (rect.lo(d), rect.hi(d));
+                let below = bucket(lo.next_down(), r);
+                let above = bucket(hi.next_up(), r);
+                (first..=last)
+                    .map(|b| {
+                        b as f64 * w >= lo
+                            && (b + 1) as f64 * w <= hi
+                            && (b == 0 || below < b)
+                            && (b == r - 1 || above > b)
+                    })
                     .collect()
             })
             .collect();
-        // Iterate the cross product of overlapping bucket ranges; the
-        // odometer advances the last dimension fastest, so flat ids rise.
-        let mut buckets: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let flat = buckets
-                .iter()
-                .fold(0usize, |acc, &b| acc * self.resolution + b);
-            let rows = self.cell(flat);
-            if !rows.is_empty() {
-                let full = (0..self.dims).all(|d| inside[d][buckets[d] - ranges[d].0]);
-                visit(flat, rows, full);
-            }
-            let mut d = self.dims;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                if buckets[d] < ranges[d].1 {
-                    buckets[d] += 1;
-                    break;
-                }
-                buckets[d] = ranges[d].0;
-            }
+        // whole[d]: dimensions d.. each take every bucket, all inside.
+        let mut whole = vec![true; self.dims + 1];
+        for d in (0..self.dims).rev() {
+            whole[d] = whole[d + 1] && ranges[d] == (0, r - 1) && inside[d].iter().all(|&b| b);
+        }
+        let walk = Walk {
+            grid: self,
+            ranges: &ranges,
+            inside: &inside,
+            whole: &whole,
+        };
+        walk.descend(0, 0, total_cells(r, self.dims), true, &mut visit);
+    }
+}
+
+/// One query's descent through [`GridIndex::for_each_cell`]'s cells.
+struct Walk<'a> {
+    grid: &'a GridIndex,
+    ranges: &'a [(usize, usize)],
+    inside: &'a [Vec<bool>],
+    whole: &'a [bool],
+}
+
+impl Walk<'_> {
+    /// Visits the `span` cells whose first `d` buckets spell `prefix`.
+    /// Flat ids put the first dimension slowest, so those cells are one
+    /// span of ids and their rows one slice of the CSR array: an empty
+    /// slice is skipped whole, and so is a full one, in one call, without
+    /// visiting its cells one by one. Sparse grids (more cells than rows,
+    /// as in 12 or 20 dimensions) thus cost about their rows, not their
+    /// cells.
+    fn descend(
+        &self,
+        d: usize,
+        prefix: usize,
+        span: usize,
+        full: bool,
+        visit: &mut impl FnMut(usize, &[u32], bool),
+    ) {
+        let g = self.grid;
+        let from = g.offsets[prefix * span] as usize;
+        let to = g.offsets[(prefix + 1) * span] as usize;
+        if from == to {
+            return;
+        }
+        if d == g.dims || (full && self.whole[d]) {
+            visit(from, &g.rows[from..to], full);
+            return;
+        }
+        let (first, last) = self.ranges[d];
+        let span = span / g.resolution;
+        for b in first..=last {
+            let full = full && self.inside[d][b - first];
+            self.descend(d + 1, prefix * g.resolution + b, span, full, visit);
         }
     }
 }
 
 /// The bucket of normalized coordinate `x` among `resolution` equal-width
 /// buckets of `[0, 100]`. Never decreases as `x` grows, which is what
-/// lets [`Block::compare`] answer from buckets alone.
+/// lets [`GridIndex::for_each_cell`] call a cell full exactly.
 pub(crate) fn bucket(x: f64, resolution: usize) -> usize {
     ((x / 100.0 * resolution as f64) as usize).min(resolution - 1)
 }
@@ -322,8 +370,7 @@ impl RegionIndex for GridIndex {
     fn query(&self, view: &NumericView, rect: &Rect) -> QueryOutput {
         let mut out = OutputBuilder::new(Some(Arc::clone(&self.rows)));
         let mut examined = 0usize;
-        self.for_each_cell(rect, |cell, rows, full| {
-            let from = self.offsets[cell] as usize;
+        self.for_each_cell(rect, |from, rows, full| {
             if full {
                 out.push_full(from, rows.len());
             } else {
@@ -356,54 +403,15 @@ impl RegionIndex for GridIndex {
         self.offsets[cell] + self.cell(cell).partition_point(|&j| j < i) as u32
     }
 
-    fn block_count(&self, _view: &NumericView) -> usize {
-        self.nonempty
-    }
-
-    /// The block order is the CSR `rows` array: one block per non-empty
-    /// cell, in ascending flat cell id.
-    fn for_each_block(
-        &self,
-        _view: &NumericView,
-        span: Range<usize>,
-        visit: &mut dyn FnMut(Block<'_>),
-    ) {
-        debug_assert!(span.end <= self.rows.len(), "span past the view");
-        if span.is_empty() {
-            return;
-        }
-        // The cell holding position `span.start`: the last one whose
-        // slice starts at or before it.
-        let first = self.offsets.partition_point(|&o| o as usize <= span.start) - 1;
-        // Its buckets, last dimension fastest; advanced like an odometer
-        // from one cell id to the next.
-        let mut buckets = vec![0; self.dims];
-        let mut id = first;
-        for b in buckets.iter_mut().rev() {
-            *b = id % self.resolution;
-            id /= self.resolution;
-        }
-        for id in first..self.offsets.len() - 1 {
-            let start = (self.offsets[id] as usize).max(span.start);
-            if start >= span.end {
-                break;
-            }
-            let end = (self.offsets[id + 1] as usize).min(span.end);
-            if start < end {
-                let cell = Cell {
-                    buckets: &buckets,
-                    resolution: self.resolution,
-                };
-                visit(Block::in_cell(&self.rows[start..end], cell));
-            }
-            for b in buckets.iter_mut().rev() {
-                *b += 1;
-                if *b < self.resolution {
-                    break;
-                }
-                *b = 0;
-            }
-        }
+    /// At 8 or more buckets per dimension. The heuristic picks about
+    /// `len^(1/dims)` buckets, so a coarser grid means few rows for the
+    /// dimensions: a cell holds a row or two, and a box visits or cuts
+    /// about as many cells as it spans rows. Counting a tree's boxes there
+    /// cost up to 9× the per-row loop (`substrate/eval/*_{7d,12d,20d}_*`,
+    /// 2–6 buckets). From 8 buckets up it won, except that a tree of 125
+    /// random-label leaves at exactly 8 tied (`*_6d_random_tree_*`).
+    fn counts_cheaply(&self) -> bool {
+        self.resolution >= Self::COUNTING_RESOLUTION
     }
 
     fn name(&self) -> &'static str {
@@ -472,6 +480,51 @@ mod tests {
     }
 
     #[test]
+    fn sparse_grids_answer_like_a_scan() {
+        // 12-D over 3 000 rows: 2¹² cells, most of them empty.
+        let dims = 12;
+        let view = uniform_view(3_000, dims, 9);
+        let idx = GridIndex::build(&view);
+        let span = |lo: f64, hi: f64, cut: &[usize]| {
+            let lo: Vec<f64> = (0..dims)
+                .map(|d| if cut.contains(&d) { lo } else { 0.0 })
+                .collect();
+            let hi: Vec<f64> = (0..dims)
+                .map(|d| if cut.contains(&d) { hi } else { 100.0 })
+                .collect();
+            Rect::new(lo, hi)
+        };
+        for rect in [
+            Rect::full_domain(dims),
+            span(0.0, 50.0, &[0]),
+            span(20.0, 70.0, &[0, 1]),
+            span(20.0, 70.0, &[11]),
+            span(10.0, 90.0, &[0, 5, 11]),
+            span(30.0, 60.0, &(0..dims).collect::<Vec<_>>()),
+        ] {
+            let mut want: Vec<u32> = view
+                .indices_in(&rect)
+                .into_iter()
+                .map(|i| i as u32)
+                .collect();
+            want.sort_unstable();
+            let mut got = idx.query(&view, &rect).to_vec();
+            got.sort_unstable();
+            assert_eq!(got, want, "{rect:?}");
+            assert_eq!(idx.count(&view, &rect).count, want.len(), "{rect:?}");
+            // A cut cell is a run of its own, as on a dense grid.
+            for (slice, full) in idx.query(&view, &rect).run_slices() {
+                let cell =
+                    GridIndex::cell_of(&view, idx.rows[slice.start] as usize, idx.resolution);
+                assert!(
+                    full || slice.end <= idx.offsets[cell + 1] as usize,
+                    "{rect:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn full_cell_coverage_examines_nothing() {
         let view = uniform_view(1_000, 2, 3);
         let idx = GridIndex::with_resolution(&view, 10);
@@ -483,6 +536,16 @@ mod tests {
         // cell's points.
         let out = idx.query(&view, &Rect::new(vec![1.0, 1.0], vec![2.0, 2.0]));
         assert!(out.examined <= 1_000 / 10, "examined {}", out.examined);
+    }
+
+    #[test]
+    fn counts_are_cheap_from_eight_buckets_per_dimension() {
+        let view = uniform_view(1_000, 2, 5);
+        assert!(!GridIndex::with_resolution(&view, 7).counts_cheaply());
+        assert!(GridIndex::with_resolution(&view, 8).counts_cheaply());
+        // 20-D, capped at 2 buckets: every cell a row at most.
+        let view = uniform_view(1_000, 20, 5);
+        assert!(!GridIndex::build(&view).counts_cheaply());
     }
 
     #[test]
@@ -551,7 +614,6 @@ mod tests {
             for (c, want) in naive.iter().enumerate() {
                 assert_eq!(idx.cell(c), &want[..], "cell {c} at {resolution}³");
             }
-            assert_eq!(idx.nonempty, naive.iter().filter(|c| !c.is_empty()).count());
         }
     }
 
@@ -660,36 +722,31 @@ mod tests {
     }
 
     #[test]
-    fn blocks_partition_the_rows_and_compare_truthfully() {
-        let view = uniform_view(3_000, 2, 9);
-        let idx = GridIndex::with_resolution(&view, 8);
-        let thresholds = [0.0, 12.5, 30.0, 37.5, 62.4, 99.0, 100.0];
-        for chunk in [1, 7, 100, 5_000] {
-            let mut seen = vec![0u8; view.len()];
-            let mut start = 0;
-            while start < view.len() {
-                let end = (start + chunk).min(view.len());
-                idx.for_each_block(&view, start..end, &mut |block| {
-                    assert!(!block.is_empty());
-                    block.for_each_row(|i| {
-                        seen[i] += 1;
-                        for d in 0..2 {
-                            for &t in &thresholds {
-                                if let Some(o) = block.compare(d, t) {
-                                    assert_eq!(view.coord(i, d).partial_cmp(&t), Some(o));
-                                }
-                            }
-                        }
-                    });
-                });
-                start = end;
+    fn a_cell_is_full_only_if_every_value_of_its_bucket_is_inside() {
+        // At resolution 5, 59.99999999999999 falls in bucket 3, whose
+        // float lower bound 3·20 is 60.
+        assert_eq!(bucket(59.999_999_999_999_99, 5), 3);
+        let mapper = SpaceMapper::new(vec!["x".into()], vec![Domain::new(0.0, 100.0)]);
+        let view = NumericView::new(
+            mapper,
+            vec![59.999_999_999_999_99, 10.0, 70.0],
+            vec![0, 1, 2],
+        );
+        let idx = GridIndex::with_resolution(&view, 5);
+        let rect = Rect::new(vec![60.0], vec![100.0]);
+        assert_eq!(idx.query(&view, &rect).to_vec(), vec![2]);
+        assert_eq!(idx.count(&view, &rect).count, 1);
+        let rect = Rect::new(vec![0.0], vec![59.999_999_999_999_99]);
+        assert_eq!(idx.count(&view, &rect).count, 2);
+        // Bounds a bucket edge really separates keep their full cells.
+        let rect = Rect::new(vec![0.0], vec![100.0]);
+        assert_eq!(
+            idx.count(&view, &rect),
+            CountOutput {
+                count: 3,
+                examined: 0
             }
-            assert!(seen.iter().all(|&s| s == 1), "chunk {chunk}");
-        }
-        let mut blocks = 0;
-        idx.for_each_block(&view, 0..view.len(), &mut |_| blocks += 1);
-        assert_eq!(blocks, idx.block_count(&view));
-        assert_eq!(blocks, (0..64).filter(|&c| !idx.cell(c).is_empty()).count());
+        );
     }
 
     #[test]

@@ -20,13 +20,10 @@
 //!   bit masks, so no answer copies row ids;
 //! * [`Exclusions`] — the session's labeled rows, keyed by their index in
 //!   the access path's row order so that removing them from a query
-//!   result costs O(|labels| · log) rather than a pass over the result;
-//! * [`Block`] — a set of rows plus what the access path knows of their
-//!   coordinates, the unit the F-measure evaluator counts by.
+//!   result costs O(|labels| · log) rather than a pass over the result.
 
 #![deny(missing_docs)]
 
-pub mod block;
 pub mod cache;
 pub mod engine;
 pub mod exclusions;
@@ -34,15 +31,12 @@ pub mod grid;
 pub mod output;
 pub mod scan;
 
-pub use block::Block;
 pub use cache::{CacheStats, SharedRegionCache};
 pub use engine::{ExtractionEngine, ExtractionStats, IndexKind, Sample};
 pub use exclusions::Exclusions;
 pub use grid::GridIndex;
 pub use output::QueryOutput;
 pub use scan::ScanIndex;
-
-use std::ops::Range;
 
 use aide_data::NumericView;
 use aide_util::geom::Rect;
@@ -86,24 +80,10 @@ pub trait RegionIndex: Send + Sync {
     /// plus `i`'s place in the cell; for [`ScanIndex`] it is `i`.
     fn run_key(&self, view: &NumericView, i: u32) -> u32;
 
-    /// Calls `visit` for the blocks at positions `span` of this access
-    /// path's block order: the view's rows split into blocks (one per
-    /// non-empty cell for [`GridIndex`], one holding every row for
-    /// [`ScanIndex`]) laid end to end, so positions run over
-    /// `0..view.len()`. A block that an end of `span` cuts is clipped to
-    /// it. Cutting `0..view.len()` into spans therefore visits every row
-    /// exactly once, whatever the cut points.
-    fn for_each_block(
-        &self,
-        view: &NumericView,
-        span: Range<usize>,
-        visit: &mut dyn FnMut(Block<'_>),
-    );
-
-    /// Number of blocks [`RegionIndex::for_each_block`] visits over
-    /// `0..view.len()`: the non-empty cells for [`GridIndex`], one (none
-    /// for an empty view) for [`ScanIndex`].
-    fn block_count(&self, view: &NumericView) -> usize;
+    /// Whether [`RegionIndex::count`] of a box costs well under a pass
+    /// over the rows it spans. A session counts its model's F-measure box
+    /// by box only over such an index, and row by row otherwise.
+    fn counts_cheaply(&self) -> bool;
 
     /// Human-readable name for diagnostics and benches.
     fn name(&self) -> &'static str;

@@ -6,13 +6,11 @@
 //! [`GridIndex`](crate::GridIndex) to reproduce the paper's
 //! extraction-cost observations.
 
-use std::ops::Range;
-
 use aide_data::NumericView;
 use aide_util::geom::Rect;
 
 use crate::output::OutputBuilder;
-use crate::{Block, CountOutput, QueryOutput, RegionIndex};
+use crate::{CountOutput, QueryOutput, RegionIndex};
 
 /// An index-free access path that examines every point on every query.
 #[derive(Debug, Clone, Copy, Default)]
@@ -48,22 +46,9 @@ impl RegionIndex for ScanIndex {
         i
     }
 
-    fn block_count(&self, view: &NumericView) -> usize {
-        usize::from(!view.is_empty())
-    }
-
-    /// The block order is view order, as one block about which nothing
-    /// is known.
-    fn for_each_block(
-        &self,
-        view: &NumericView,
-        span: Range<usize>,
-        visit: &mut dyn FnMut(Block<'_>),
-    ) {
-        debug_assert!(span.end <= view.len(), "span past the view");
-        if !span.is_empty() {
-            visit(Block::span(span.start, span.end));
-        }
+    /// Never: each count reads every row.
+    fn counts_cheaply(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {

@@ -54,12 +54,14 @@ fn rect_from((a, b): &((f64, f64), (f64, f64))) -> Rect {
 }
 
 /// One rectangle bound: `(kind, value, k)` is a free value, the `k`-th
-/// grid cell edge, or the domain edge 100 or 0 — so generated rectangles
-/// touch cell edges and the domain's upper bound, and are often
-/// degenerate.
+/// grid cell edge, the domain edge 100 or 0, or the `k`-th cell edge
+/// moved down or up by one or two ulps — so generated rectangles touch
+/// cell edges and the domain's upper bound, are often degenerate, and at
+/// resolutions that are not powers of two cut a cell whose float bounds
+/// say it is inside.
 fn bound_gen() -> impl gen::Gen<Value = (usize, f64, usize)> {
     (
-        gen::usize_in(0..4),
+        gen::usize_in(0..6),
         gen::f64_in(0.0..100.0),
         gen::usize_in(0..65),
     )
@@ -71,8 +73,17 @@ fn bound_at((kind, value, k): (usize, f64, usize), resolution: usize) -> f64 {
         0 => value,
         1 => (k % (resolution + 1)) as f64 * w,
         2 => 100.0,
-        _ => 0.0,
+        3 => 0.0,
+        kind => beside_edge(k, resolution, kind == 5, 1 + value as usize % 2),
     }
+}
+
+/// The `k`-th cell edge `k·100/r` of a grid at `resolution`, moved up
+/// (`up`) or down by `ulps` ulps and kept in `[0, 100]`.
+fn beside_edge(k: usize, resolution: usize, up: bool, ulps: usize) -> f64 {
+    let edge = (k % (resolution + 1)) as f64 * (100.0 / resolution as f64);
+    let moved = (0..ulps).fold(edge, |x, _| if up { x.next_up() } else { x.next_down() });
+    moved.clamp(0.0, 100.0)
 }
 
 /// A 2-d rectangle from four bounds (x pair, y pair).
@@ -650,8 +661,10 @@ forall! {
     /// A query output is the cell-major filter it replaced: for the grid
     /// and the scan, on points spread over the domain or packed into one
     /// corner (so one grid cell holds hundreds of rows and its mask spans
-    /// many words), on rectangles whose bounds sit on cell edges, on the
-    /// domain's edges, outside the domain or anywhere, degenerate ones
+    /// many words) plus points an ulp or two beside cell edges, on
+    /// rectangles whose bounds sit on cell edges or an ulp or two beside
+    /// them, on the domain's edges, outside the domain or anywhere,
+    /// degenerate ones
     /// and the full domain among them, `to_vec()` and `get(p)` equal every
     /// matching view index sorted by (run key, view index), and excluding
     /// a random subset of the view leaves exactly the reference's
@@ -659,16 +672,24 @@ forall! {
     fn outputs_equal_the_cell_major_filter(
         raw in gen::vec_of((gen::f64_in(0.0..100.0), gen::f64_in(0.0..100.0)), 0..600),
         packed in gen::any_bool(),
+        snapped in gen::vec_of((gen::usize_in(0..65), gen::usize_in(0..65), gen::usize_in(0..5)), 0..40),
         bounds in gen::vec_of(
-            (gen::usize_in(0..6), gen::f64_in(0.0..100.0), gen::usize_in(0..65)),
+            (gen::usize_in(0..8), gen::f64_in(0.0..100.0), gen::usize_in(0..65)),
             4..5,
         ),
         pick in gen::any_u64(),
     ) {
         let scale = if packed { 0.03 } else { 1.0 };
-        let points: Vec<(f64, f64)> = raw.iter().map(|&(x, y)| (x * scale, y * scale)).collect();
+        let len = raw.len() + snapped.len();
+        let resolution = GridIndex::build(&view_from(&vec![(0.0, 0.0); len])).resolution();
+        // Points on cell edges moved by -2..=2 ulps, on both dimensions.
+        let step = |k, s: usize| beside_edge(k, resolution, s >= 2, s.abs_diff(2));
+        let points: Vec<(f64, f64)> = raw
+            .iter()
+            .map(|&(x, y)| (x * scale, y * scale))
+            .chain(snapped.iter().map(|&(i, j, s)| (step(i, s), step(j, s))))
+            .collect();
         let view = view_from(&points);
-        let resolution = GridIndex::build(&view).resolution();
         let w = 100.0 / resolution as f64;
         let v: Vec<f64> = bounds
             .iter()
@@ -678,7 +699,8 @@ forall! {
                 2 => 100.0,
                 3 => 0.0,
                 4 => -value,
-                _ => 100.0 + value,
+                5 => 100.0 + value,
+                kind => beside_edge(k, resolution, kind == 7, 1 + value as usize % 2),
             })
             .collect();
         let rects = [

@@ -15,8 +15,6 @@
 //! 2. its split rules expose which boundaries moved between iterations,
 //!    which drives the adaptive boundary-exploitation phase (§5.2).
 
-use std::cmp::Ordering;
-
 use aide_util::geom::Rect;
 use aide_util::par::Pool;
 
@@ -155,52 +153,6 @@ impl DecisionTree {
         }
     }
 
-    /// The label [`DecisionTree::predict`] gives every point of a set that
-    /// is known only through `compare`: `compare(dim, t)` is `Some(o)` if
-    /// `point[dim].partial_cmp(&t) == Some(o)` for every point of the set,
-    /// and `None` if the points differ or it is not known. Returns `None`
-    /// if the leaves the set can reach disagree.
-    ///
-    /// The walk follows [`DecisionTree::predict`]'s rule (`x <= t` goes
-    /// left): it goes left on `Less`/`Equal`, right on `Greater`, and into
-    /// both children on `None`.
-    pub fn block_label(&self, compare: impl Fn(usize, f64) -> Option<Ordering>) -> Option<bool> {
-        let mut label = None;
-        if self.block_walk(self.root, &compare, &mut label) {
-            label
-        } else {
-            None
-        }
-    }
-
-    /// Visits the leaves below `node` that [`DecisionTree::block_label`]'s
-    /// set can reach; false as soon as one disagrees with `label` (which
-    /// the first leaf sets).
-    fn block_walk(
-        &self,
-        node: usize,
-        compare: &impl Fn(usize, f64) -> Option<Ordering>,
-        label: &mut Option<bool>,
-    ) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { label: leaf, .. } => *label.get_or_insert(*leaf) == *leaf,
-            Node::Split {
-                dim,
-                threshold,
-                left,
-                right,
-                ..
-            } => match compare(*dim, *threshold) {
-                Some(Ordering::Less | Ordering::Equal) => self.block_walk(*left, compare, label),
-                Some(Ordering::Greater) => self.block_walk(*right, compare, label),
-                None => {
-                    self.block_walk(*left, compare, label)
-                        && self.block_walk(*right, compare, label)
-                }
-            },
-        }
-    }
-
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
         self.count_leaves(self.root)
@@ -230,10 +182,7 @@ impl DecisionTree {
     /// are the predicate set `P_r` the extraction query is built from
     /// (paper §2.2); irrelevant regions are `P_nr`.
     pub fn regions(&self, label: bool, bounds: &Rect) -> Vec<Rect> {
-        assert_eq!(bounds.dims(), self.dims, "bounds dimensionality mismatch");
-        let mut out = Vec::new();
-        self.collect_regions(self.root, label, bounds.clone(), &mut out);
-        out
+        self.boxes(label, bounds, |t| t)
     }
 
     /// Shorthand for `regions(true, bounds)` — the relevant areas.
@@ -241,7 +190,38 @@ impl DecisionTree {
         self.regions(true, bounds)
     }
 
-    fn collect_regions(&self, node: usize, label: bool, rect: Rect, out: &mut Vec<Rect>) {
+    /// The leaves labeled `label` as exact, disjoint closed boxes within
+    /// `bounds`: a point of `bounds` lies in one of them exactly when
+    /// [`DecisionTree::predict`] gives it `label`, and in at most one.
+    ///
+    /// [`DecisionTree::regions`] starts a right child at the threshold
+    /// `t` itself, so neighbouring regions share a face (what SQL
+    /// rendering wants). Here a right child starts at `t.next_up()`:
+    /// `x > t` holds exactly when `x >= t.next_up()` for every finite
+    /// `x`, so the box edges reproduce the split rule `x <= t` bit for
+    /// bit.
+    pub fn leaf_boxes(&self, label: bool, bounds: &Rect) -> Vec<Rect> {
+        self.boxes(label, bounds, f64::next_up)
+    }
+
+    /// The walk behind [`DecisionTree::regions`] and
+    /// [`DecisionTree::leaf_boxes`]; `right_lo(t)` is where a right child
+    /// of threshold `t` starts.
+    fn boxes(&self, label: bool, bounds: &Rect, right_lo: fn(f64) -> f64) -> Vec<Rect> {
+        assert_eq!(bounds.dims(), self.dims, "bounds dimensionality mismatch");
+        let mut out = Vec::new();
+        self.collect_boxes(self.root, label, bounds.clone(), right_lo, &mut out);
+        out
+    }
+
+    fn collect_boxes(
+        &self,
+        node: usize,
+        label: bool,
+        rect: Rect,
+        right_lo: fn(f64) -> f64,
+        out: &mut Vec<Rect>,
+    ) {
         match &self.nodes[node] {
             Node::Leaf { label: l, .. } => {
                 if *l == label {
@@ -255,14 +235,15 @@ impl DecisionTree {
                 right,
                 ..
             } => {
-                let t = *threshold;
-                if rect.lo(*dim) <= t {
-                    let l = rect.with_dim(*dim, rect.lo(*dim), t.min(rect.hi(*dim)));
-                    self.collect_regions(*left, label, l, out);
+                let (d, t) = (*dim, *threshold);
+                if rect.lo(d) <= t {
+                    let l = rect.with_dim(d, rect.lo(d), t.min(rect.hi(d)));
+                    self.collect_boxes(*left, label, l, right_lo, out);
                 }
-                if rect.hi(*dim) > t {
-                    let r = rect.with_dim(*dim, t.max(rect.lo(*dim)), rect.hi(*dim));
-                    self.collect_regions(*right, label, r, out);
+                // `hi > t` keeps `right_lo(t) <= hi`, so no box is empty.
+                if rect.hi(d) > t {
+                    let r = rect.with_dim(d, right_lo(t).max(rect.lo(d)), rect.hi(d));
+                    self.collect_boxes(*right, label, r, right_lo, out);
                 }
             }
         }
@@ -597,8 +578,11 @@ fn sweep_dim(
         let gain = parent - weighted;
         if best.map(|(_, _, g)| gain > g).unwrap_or(true) {
             // Midpoint threshold: no training point sits exactly on
-            // the boundary, keeping region extraction unambiguous.
-            best = Some((dim, v + (next - v) / 2.0, gain));
+            // the boundary, keeping region extraction unambiguous. Between
+            // values an ulp apart the midpoint can round up to `next`,
+            // which would send every point left; `v` splits them there.
+            let mid = v + (next - v) / 2.0;
+            best = Some((dim, if mid < next { mid } else { v }, gain));
         }
     }
     best
@@ -1156,40 +1140,14 @@ mod tests {
     }
 
     #[test]
-    fn block_label_follows_known_comparisons_and_flags_disagreement() {
-        let (data, labels) = figure2_data();
-        let tree = DecisionTree::fit(2, &data, &labels, &TreeParams::default());
-        // A set known only to lie in a box [lo, hi] (closed): compare from
-        // the box bounds, as a grid cell would from its buckets.
-        let boxed = |lo: [f64; 2], hi: [f64; 2]| {
-            tree.block_label(move |d, t| {
-                if hi[d] < t {
-                    Some(Ordering::Less)
-                } else if lo[d] > t {
-                    Some(Ordering::Greater)
-                } else {
-                    None
-                }
-            })
-        };
-        // Inside one leaf region of Figure 2: every point agrees.
-        assert_eq!(boxed([25.0, 2.0], [35.0, 8.0]), Some(true));
-        assert_eq!(boxed([5.0, 2.0], [15.0, 8.0]), Some(false));
-        assert_eq!(boxed([5.0, 11.0], [15.0, 14.0]), Some(true));
-        // Straddling the age = 20 split with dosage <= 10: relevant on one
-        // side, irrelevant on the other.
-        assert_eq!(boxed([15.0, 2.0], [25.0, 8.0]), None);
-        // Nothing known: every leaf is reachable, and they disagree.
-        assert_eq!(tree.block_label(|_, _| None), None);
-        // A point-sized box agrees with predict everywhere.
-        for i in 0..labels.len() {
-            let p = [data[2 * i], data[2 * i + 1]];
-            let exact = tree.block_label(|d, t| p[d].partial_cmp(&t));
-            assert_eq!(exact, Some(tree.predict(&p)), "point {p:?}");
-        }
-        // A single leaf labels anything, even with nothing known.
-        let leaf = DecisionTree::fit(2, &data[..2], &labels[..1], &TreeParams::default());
-        assert_eq!(leaf.block_label(|_, _| None), Some(labels[0]));
+    fn values_an_ulp_apart_split_at_the_lower_one() {
+        // The midpoint of these two rounds (to even) up to the second.
+        let v = 1.0f64.next_up();
+        assert_eq!(v + (v.next_up() - v) / 2.0, v.next_up());
+        let tree = DecisionTree::fit(1, &[v, v.next_up()], &[false, true], &TreeParams::default());
+        assert_eq!(tree.split_rules()[0].threshold, v);
+        assert!(!tree.predict(&[v]));
+        assert!(tree.predict(&[v.next_up()]));
     }
 
     #[test]

@@ -54,6 +54,64 @@ forall! {
         }
     }
 
+    /// The exact leaf boxes of both labels are pairwise disjoint and tile
+    /// the bounds: every probe lies in exactly one box, whose label is
+    /// `predict`'s. Probes include each split threshold `t` and its
+    /// neighbours `t.next_down()` and `t.next_up()`, and training values
+    /// come in pairs an ulp apart, so thresholds fall between adjacent
+    /// floats.
+    fn leaf_boxes_tile_the_bounds_and_agree_with_predict(
+        points in gen::vec_of(
+            (gen::u32_in(0..100), gen::u32_in(0..100), gen::any_bool(), gen::usize_in(0..3)),
+            2..150,
+        ),
+    ) {
+        let mut data = Vec::with_capacity(points.len() * 2);
+        let mut labels = Vec::with_capacity(points.len());
+        for &(x, y, label, ulp) in &points {
+            let (x, y) = (x as f64, y as f64);
+            data.extend(match ulp {
+                0 => [x, y],
+                1 => [x.next_up(), y],
+                _ => [x, y.next_up()],
+            });
+            labels.push(label);
+        }
+        let tree = DecisionTree::fit(2, &data, &labels, &TreeParams::default());
+        let bounds = Rect::new(vec![-1.0, -1.0], vec![101.0, 101.0]);
+        let boxes: Vec<(Rect, bool)> = [true, false]
+            .into_iter()
+            .flat_map(|label| tree.leaf_boxes(label, &bounds).into_iter().map(move |b| (b, label)))
+            .collect();
+        for (i, (a, _)) in boxes.iter().enumerate() {
+            for (b, _) in &boxes[i + 1..] {
+                prop_assert!(!a.intersects(b), "{:?} and {:?} share a point", a, b);
+            }
+        }
+        let mut coords: Vec<[f64; 2]> = Vec::new();
+        for g in 0..10 {
+            coords.push([g as f64 * 10.0 + 0.37; 2]);
+        }
+        for rule in tree.split_rules() {
+            let t = rule.threshold;
+            for v in [t.next_down(), t, t.next_up()] {
+                for other in [-1.0, 0.37, 50.0, 101.0] {
+                    let mut p = [other; 2];
+                    p[rule.dim] = v;
+                    coords.push(p);
+                }
+            }
+        }
+        for &x in coords.iter().map(|c| &c[0]) {
+            for &y in coords.iter().map(|c| &c[1]) {
+                let p = [x.clamp(-1.0, 101.0), y.clamp(-1.0, 101.0)];
+                let holders: Vec<bool> =
+                    boxes.iter().filter(|(b, _)| b.contains(&p)).map(|&(_, l)| l).collect();
+                prop_assert_eq!(holders, vec![tree.predict(&p)], "probe {:?}", p);
+            }
+        }
+    }
+
     /// With unconstrained induction, training accuracy is perfect unless
     /// two identical points carry contradicting labels.
     fn unconstrained_tree_fits_consistent_data(points in training_points()) {
